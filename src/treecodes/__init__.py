@@ -100,4 +100,4 @@ from .verify import (
     weight_distance_linear,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

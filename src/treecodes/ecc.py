@@ -33,6 +33,7 @@ MAX_FIELD_DEGREE = 24
 INNER_EXPANSION = 8  # inner codeword bits per message bit
 INNER_DELTA = 0.3  # inner relative distance target of the concatenated recipe
 INNER_ATTEMPTS = 10_000
+MEMO_MAX_INPUT_BITS = 17  # widest input of a code whose codewords are memoized
 
 
 class InfeasibleCodeError(ValueError):
@@ -313,26 +314,31 @@ class CodeSpecC:
     generator_rows: tuple  # input_bits rows of s*c_delta-bit ints
 
     def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
+        memo = {} if self.input_bits <= MEMO_MAX_INPUT_BITS else None
+        object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_byte_tables", None)
 
     def symbols_for(self, packed: int) -> Tuple[int, ...]:
         """Codeword of an input_bits-wide packed message, as s symbol ints.
 
-        Memoized: the lagged encoders re-encode the same block inputs many
-        times during exhaustive pair enumeration.
+        Memoized only when the whole input space fits in the memo
+        (input_bits <= MEMO_MAX_INPUT_BITS): exhaustive enumerations over
+        small codes re-encode the same block inputs many times, while the
+        wide pipeline level codes would only grow it, since they rarely
+        see an input twice.
         """
-        got = self._memo.get(packed)
-        if got is None:
-            out = self.encode_int(packed)
-            c = self.c_delta
-            total = self.s * c
-            mask = (1 << c) - 1
-            got = tuple((out >> (total - (j + 1) * c)) & mask for j in range(self.s))
-            # Bounded memo: exhaustive small-space enumerations hit the cache
-            # constantly, while long random streams would only grow it.
-            if len(self._memo) < (1 << 17):
-                self._memo[packed] = got
+        memo = self._memo
+        if memo is not None:
+            got = memo.get(packed)
+            if got is not None:
+                return got
+        out = self.encode_int(packed)
+        c = self.c_delta
+        total = self.s * c
+        mask = (1 << c) - 1
+        got = tuple((out >> (total - (j + 1) * c)) & mask for j in range(self.s))
+        if memo is not None:
+            memo[packed] = got
         return got
 
     def encode_int(self, x: int) -> int:
@@ -421,32 +427,39 @@ def _build_rows_rs(params: RSParams, input_bits: int) -> tuple:
 
     The input_bits message bits are zero-padded at the most-significant end
     to k_msg m-bit symbols; row t is the codeword of the basis message with
-    a single set bit at message-bit t.
+    a single set bit at message-bit t.  That bit is bit b of message symbol
+    q (symbol 0 is the constant term), so the row holds j^q * x^b in the
+    m-bit slot of each point j, point 0 in the most significant slot.
+
+    Every row is computed whole, on the n slots packed into one int:
+    multiplying all slots by x is a shift plus a reduction by the modulus,
+    and the powers P_q (slot j = j^q) follow from P_{q+1} = XOR over b of
+    (P_q * x^b restricted to the points j with bit b set).
     """
     m, k, n = params.m, params.k_msg, params.n_code
-    pad = k * m - input_bits
-    # pow_table[j][q] = point_j ^ q
-    rows: List[int] = []
-    pow_tables = []
+    ones = sum(1 << (j * m) for j in range(n))  # bit 0 of every slot
+    high = ones << (m - 1)
+    low = ones * ((1 << (m - 1)) - 1)
+    reduce_by = canonical_modulus(m) ^ (1 << m)
+    full = (1 << m) - 1
+    planes = [0] * m  # planes[b]: full slots of the points j with bit b set
     for j in range(n):
-        powers = [1]
-        for _ in range(k - 1):
-            powers.append(gf_mul_int(m, powers[-1], j))
-        pow_tables.append(powers)
-    for t in range(input_bits):
-        bitpos = pad + t  # position inside the padded k*m-bit message
-        q = bitpos // m  # message symbol index, MSB-first symbol order
-        b = m - 1 - (bitpos % m)
-        coeff_index = q  # symbol q is the coefficient of x^q? see below
-        beta = 1 << b
-        # Message symbols are used as polynomial coefficients with symbol 0
-        # as the constant term.
-        row = 0
-        for j in range(n):
-            sym = gf_mul_int(m, pow_tables[j][coeff_index], beta)
-            row = (row << m) | sym
-        rows.append(row)
-    return tuple(rows)
+        slot = full << ((n - 1 - j) * m)
+        for b in range(j.bit_length()):
+            if j >> b & 1:
+                planes[b] |= slot
+    power = ones  # P_0: j^0 = 1 at every point, including 0
+    rows: List[int] = []
+    for _ in range(k):
+        times_x = [power]  # times_x[b] = P_q * x^b
+        for _ in range(m - 1):
+            r = times_x[-1]
+            times_x.append(((r & low) << 1) ^ (((r & high) >> (m - 1)) * reduce_by))
+        rows.extend(reversed(times_x))  # message bits run MSB first
+        power = 0
+        for b in range(m):
+            power ^= times_x[b] & planes[b]
+    return tuple(rows[k * m - input_bits:])
 
 
 def _regroup_pad(rows: Sequence[int], raw_bits: int, total_bits: int) -> tuple:

@@ -163,6 +163,13 @@ def level_c_delta(config: PipelineConfig, s: int) -> int:
     return choice[2]
 
 
+@lru_cache(maxsize=None)
+def level_code(s: int, delta: Fraction, recipe: str, seed: int, input_bits: int) -> CodeSpecC:
+    """The block code of a level, built on first use and shared by every
+    encoder and clone in the process with the same code parameters."""
+    return build_code_c(s, delta, recipe, seed, input_bits=input_bits)
+
+
 @dataclass(frozen=True)
 class FinalSymbol:
     """One output symbol: the input window plus one lagged pair per active
@@ -245,7 +252,7 @@ class _LevelState:
     """Shared per-level data plus the two live instances."""
 
     __slots__ = (
-        "config", "s", "ell", "h", "c_delta", "pascal_rows", "_spec",
+        "config", "s", "ell", "h", "c_delta", "pascal_rows",
         "older", "newer", "boost_params",
     )
 
@@ -256,7 +263,6 @@ class _LevelState:
         self.h = lv.s * lv.s // 2
         self.c_delta = level_c_delta(config, lv.s)
         self.pascal_rows: List[Tuple[int, ...]] = []
-        self._spec: Optional[CodeSpecC] = None
         self.older: Optional[_FastInstance] = None
         self.newer: Optional[_FastInstance] = None
         self.boost_params = (
@@ -273,16 +279,10 @@ class _LevelState:
         return rows[i]
 
     def spec(self) -> CodeSpecC:
-        if self._spec is None:
-            self._spec = build_code_c(
-                self.s,
-                self.config.delta,
-                self.config.recipe,
-                self.config.seed,
-                input_bits=self.config.level_input_bits(self.s),
-            )
-            assert self._spec.c_delta == self.c_delta
-        return self._spec
+        cfg = self.config
+        spec = level_code(self.s, cfg.delta, cfg.recipe, cfg.seed, cfg.level_input_bits(self.s))
+        assert spec.c_delta == self.c_delta
+        return spec
 
     def push(self, pos: int, bit: int):
         _, r = divmod(pos, self.h)
@@ -300,7 +300,6 @@ class _LevelState:
         other.h = self.h
         other.c_delta = self.c_delta
         other.pascal_rows = self.pascal_rows
-        other._spec = self._spec
         other.boost_params = self.boost_params
         other.older = self.older.clone() if self.older is not None else None
         other.newer = self.newer.clone() if self.newer is not None else None
@@ -331,9 +330,12 @@ class PipelineEncoder:
     def push_raw(self, bit: int):
         if self.pos >= self.config.n:
             raise ValueError("input longer than n=%d" % self.config.n)
+        if bit != 0 and bit != 1:
+            raise ValueError("input bit must be 0 or 1, got %r" % (bit,))
+        window = ((self.window << 1) | bit) & self.wmask
         self.pos += 1
         i = self.pos
-        self.window = ((self.window << 1) | bit) & self.wmask
+        self.window = window
         wlen = min(i, self.config.window_bits)
         out = []
         for lv in self.levels:

@@ -1,9 +1,12 @@
 """Tests for the shared symbol and metric primitives."""
 
+import os
 import random
+import re
 
 import pytest
 
+import treecodes
 from treecodes.core import (
     BLANK,
     AlphabetDescriptor,
@@ -84,3 +87,10 @@ def test_alphabet_descriptor_total():
     d = AlphabetDescriptor(5, 11, (("window", 5), ("L1.left", "blank"), ("L1.right", 6)))
     assert d.total_bits == 11
     assert sum(v for _, v in d.structure if v != "blank") == d.total_bits
+
+
+def test_version_matches_pyproject():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
+    assert treecodes.__version__ == declared

@@ -1,12 +1,16 @@
 """Tests for the finite-field tools and the block-code recipes."""
 
+import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from treecodes.ecc import (
+    MEMO_MAX_INPUT_BITS,
     CodeSpecC,
     GF2mElement,
     InfeasibleCodeError,
@@ -25,6 +29,9 @@ from treecodes.ecc import (
     s_delta,
     save_inner_code,
 )
+from treecodes.ecc import _build_rows_rs
+
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden", "block_code_rows.json")
 
 
 def test_canonical_moduli_small_degrees():
@@ -179,3 +186,88 @@ def test_s_delta_concat_reasonable():
     assert 1 <= s0 <= 64
     # Verify the reported s actually builds.
     build_code_c(s0, Fraction(1, 4), "concat")
+
+
+def _reference_rows_rs(params, input_bits):
+    """The generator rows by their scalar definition: message bit t is bit b
+    of padded symbol q, and its row holds j^q * x^b in the slot of point j."""
+    m, k, n = params.m, params.k_msg, params.n_code
+    powers = []
+    for j in range(n):
+        p = [1]
+        for _ in range(k - 1):
+            p.append(gf_mul_int(m, p[-1], j))
+        powers.append(p)
+    rows = []
+    for bitpos in range(k * m - input_bits, k * m):
+        q, b = bitpos // m, m - 1 - bitpos % m
+        row = 0
+        for j in range(n):
+            row = (row << m) | gf_mul_int(m, powers[j][q], 1 << b)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _padded_widths(params):
+    # Every input width that pads the message by 0 .. m-1 bits.
+    top = params.k_msg * params.m
+    return range(max(1, top - params.m + 1), top + 1)
+
+
+def test_build_rows_rs_matches_scalar_definition_small_shapes():
+    for m in range(1, 5):
+        for n in range(1, (1 << m) + 1):
+            for k in range(1, n + 1):
+                params = RSParams(m, k, n)
+                for bits in _padded_widths(params):
+                    assert _build_rows_rs(params, bits) == _reference_rows_rs(params, bits), (
+                        m, k, n, bits)
+    rng = random.Random(6)
+    for m in (5, 6, 7, 8, 20, 24):
+        for _ in range(6):
+            n = rng.randint(1, min(1 << m, 40))
+            params = RSParams(m, rng.randint(1, min(n, 6)), n)
+            for bits in (params.k_msg * params.m, rng.choice(_padded_widths(params))):
+                assert _build_rows_rs(params, bits) == _reference_rows_rs(params, bits), (
+                    m, params, bits)
+
+
+def test_build_rows_rs_matches_scalar_definition_on_recipes():
+    rs = build_code_c(20, Fraction(1, 4), "rs")
+    concat = build_code_c(16, Fraction(1, 4), "concat", seed=0)
+    wide = build_code_c(8, Fraction(0), "rs", input_bits=150)  # m=20, 10 bits of padding
+    assert wide.outer.m == 20
+    for spec in (rs, concat, wide):
+        rows = _build_rows_rs(spec.outer, spec.input_bits)
+        assert rows == _reference_rows_rs(spec.outer, spec.input_bits)
+
+
+def _rows_sha256(spec):
+    h = hashlib.sha256()
+    for row in spec.generator_rows:
+        h.update(b"%x\n" % row)
+    return h.hexdigest()
+
+
+def test_generator_rows_golden_digests():
+    # Recorded from the scalar build; any change here changes every codeword.
+    with open(GOLDEN_ROWS) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == ["concat-64", "rs-16", "rs-20", "rs-32", "rs-588", "rs-84"]
+    for key, want in golden.items():
+        recipe, s = key.split("-")
+        spec = build_code_c(int(s), Fraction(1, 4), recipe, seed=0)
+        got = {"c_delta": spec.c_delta, "input_bits": spec.input_bits,
+               "rows_sha256": _rows_sha256(spec)}
+        assert got == want, key
+
+
+def test_symbols_for_memoizes_only_small_input_spaces():
+    toy = build_code_c(4, Fraction(1, 4), "rs")
+    assert toy.input_bits <= MEMO_MAX_INPUT_BITS
+    first = toy.symbols_for(5)
+    assert toy.symbols_for(5) is first and toy._memo == {5: first}
+    wide = build_code_c(16, Fraction(1, 4), "rs")
+    assert wide.input_bits > MEMO_MAX_INPUT_BITS
+    assert wide.symbols_for(5) == wide.symbols_for(5)
+    assert not wide._memo

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import treecodes.pipeline as pipeline
 from treecodes.core import BLANK, FixedBits
 from treecodes.linearcode import BoostParams
 from treecodes.pipeline import (
@@ -110,6 +111,49 @@ def test_encoder_length_guard():
         enc.push(0)
     with pytest.raises(ValueError):
         enc.push(0)
+
+
+def test_push_rejects_non_bits_before_changing_state():
+    cfg = PipelineConfig(n=1 << 14)
+    enc = PipelineEncoder(cfg)
+    rng = random.Random(6)
+    for _ in range(40):
+        enc.push_raw(rng.randrange(2))
+    twin = enc.clone()
+    for bad in (2, -1, 3, "1", None, 0.5):
+        with pytest.raises(ValueError):
+            enc.push_raw(bad)
+        with pytest.raises(ValueError):
+            enc.push(bad)
+    tail = [rng.randrange(2) for _ in range(30)]
+    assert [enc.push_raw(b) for b in tail] == [twin.push_raw(b) for b in tail]
+
+
+def test_level_codes_built_once_per_process(monkeypatch):
+    calls = []
+    real = pipeline.build_code_c
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    pipeline.level_code.cache_clear()
+    monkeypatch.setattr(pipeline, "build_code_c", counting)
+    cfg = PipelineConfig(n=1 << 14)
+    rng = random.Random(7)
+    base = PipelineEncoder(cfg)
+    base.push_raw(1)
+    twin = base.clone()
+    for _ in range(600):
+        base.push_raw(rng.randrange(2))
+        twin.push_raw(rng.randrange(2))
+    assert sorted(calls) == [16, 20, 32, 84, 588]
+    fresh = PipelineEncoder(cfg)
+    for _ in range(600):
+        fresh.push_raw(rng.randrange(2))
+    assert len(calls) == 5
+    # The level codes keep no memo: their wide inputs rarely repeat.
+    assert all(not lv.spec()._memo for lv in fresh.levels)
 
 
 def test_encode_final_matches_stream():
