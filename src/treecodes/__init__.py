@@ -38,7 +38,6 @@ from .lagged import (
 from .linearcode import (
     BoostParams,
     CxRxReport,
-    GeneratorPair,
     StreamEncoderIntTreeCode,
     StreamEncoderTcA,
     StreamEncoderTcASr,

@@ -13,10 +13,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import BLANK, serialize_symbol
+from .core import IntPair, serialize_symbol
 from .ecc import build_code_c
 from .lagged import LaggedParams, StreamEncoderTruncatedLagged
-from .linearcode import StreamEncoderIntTreeCode
+from .linearcode import pascal_step
 from .pascal import is_totally_nonsingular, pascal_matrix, search_tns
 from .pipeline import (
     PipelineConfig,
@@ -94,39 +94,18 @@ def _cmd_search_tns(args, out):
 
 
 def _cmd_encode_int(args, out):
-    enc = None
-    values = []
+    # No length cap: the Pascal kernel state grows by one entry per value.
+    diffs = []
     with _open_in(args.input) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            values.append(int(line))
-            # Streaming contract: re-derive the last pair online; the row
-            # recomputation keeps one encoder with the retained prefix.
-            if enc is None:
-                enc = _GrowingIntEncoder()
-            pair = enc.push(values[-1])
-            _emit(out, {"i": len(values), "a": str(pair.a), "b": str(pair.b)})
+            a = int(line)
+            diffs = pascal_step(diffs, a)
+            pair = IntPair(a, diffs[-1])
+            _emit(out, {"i": len(diffs), "a": str(pair.a), "b": str(pair.b)})
     return 0
-
-
-class _GrowingIntEncoder:
-    """Integer tree-code encoder without a fixed length cap (the Pascal row
-    for position i is materialized on demand)."""
-
-    def __init__(self):
-        self.inputs = []
-
-    def push(self, v):
-        import math
-
-        from .core import IntPair
-
-        i = len(self.inputs)
-        self.inputs.append(v)
-        b = sum(math.comb(i, j) * self.inputs[j] for j in range(i + 1))
-        return IntPair(v, b)
 
 
 def _read_bits(fh, limit):

@@ -92,47 +92,9 @@ def canonical_modulus(m: int) -> int:
     raise AssertionError("no irreducible polynomial of degree %d" % m)
 
 
-@dataclass(frozen=True)
-class GF2mElement:
-    """An element of GF(2^m) in polynomial representation."""
-
-    m: int
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << self.m):
-            raise ValueError("value outside field of degree %d" % self.m)
-
-
-def gf_mul(a: GF2mElement, b: GF2mElement) -> GF2mElement:
-    if a.m != b.m:
-        raise ValueError("operands from different fields")
-    return GF2mElement(a.m, gf_mul_int(a.m, a.value, b.value))
-
-
 def gf_mul_int(m: int, a: int, b: int) -> int:
     """Field multiplication on raw int representations (hot-path form)."""
     return _poly_mulmod(a, b, canonical_modulus(m), m)
-
-
-def gf_add(a: GF2mElement, b: GF2mElement) -> GF2mElement:
-    if a.m != b.m:
-        raise ValueError("operands from different fields")
-    return GF2mElement(a.m, a.value ^ b.value)
-
-
-def gf_inv(a: GF2mElement) -> GF2mElement:
-    if a.value == 0:
-        raise ZeroDivisionError("zero has no inverse")
-    # a^(2^m - 2) by square-and-multiply.
-    e = (1 << a.m) - 2
-    base, acc = a.value, 1
-    while e:
-        if e & 1:
-            acc = gf_mul_int(a.m, acc, base)
-        base = gf_mul_int(a.m, base, base)
-        e >>= 1
-    return GF2mElement(a.m, acc)
 
 
 @dataclass(frozen=True)

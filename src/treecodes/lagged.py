@@ -11,23 +11,23 @@ Untruncated form (any input length): fresh truncated encoders are started
 every h = s^2/2 positions, each living for 2h positions, so every output
 position carries a pair of short symbols -- one from each of the two
 overlapping instances (blank where an instance has not yet emitted).
+
+Both forms run on one raw-int core: `LevelCore` holds what the instances
+of one code share, `TruncatedCore` is one instance and `UntruncatedCore`
+the overlapping pair.  The pipeline drives the core directly; the stream
+encoders here only wrap its ints into BLANK, FixedBits and LaggedSymbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import BLANK, FixedBits
 from .ecc import CodeSpecC
 from .linearcode import BoostParams
-from .packing import (
-    BoostedPackedParams,
-    PackedCodeParams,
-    StreamEncoderBlockTc,
-    StreamEncoderBoostedBlockTc,
-)
+from .packing import BoostedPackedParams, PackedCodeParams
 
 
 @dataclass(frozen=True)
@@ -73,46 +73,138 @@ class LaggedParams:
         return self.spec.provable_delta * (base - Fraction(3, 2 * self.a))
 
 
+class LevelCore:
+    """What every instance of one lagged code shares: the block width s,
+    the instance period h = s^2/2, the symbol width c_delta, the packing,
+    and the block code, built by make_spec when the first block completes
+    (so a wide code is never built for a stream too short to need it)."""
+
+    __slots__ = ("s", "h", "c_delta", "packer", "spec", "make_spec")
+
+    def __init__(
+        self, s: int, c_delta: int, boost: Optional[BoostParams],
+        make_spec: Callable[[], CodeSpecC],
+    ):
+        self.s = s
+        self.h = s * s // 2
+        self.c_delta = c_delta
+        self.packer = PackedCodeParams(s) if boost is None else BoostedPackedParams(s, boost)
+        self.spec: Optional[CodeSpecC] = None
+        self.make_spec = make_spec
+
+    @classmethod
+    def from_params(cls, params: LaggedParams) -> "LevelCore":
+        return cls(params.s, params.spec.c_delta, params.boost, lambda: params.spec)
+
+    def code(self) -> CodeSpecC:
+        if self.spec is None:
+            spec = self.make_spec()
+            if spec.c_delta != self.c_delta:
+                raise AssertionError("block code symbols have %d bits, expected %d"
+                                     % (spec.c_delta, self.c_delta))
+            self.spec = spec
+        return self.spec
+
+
+class TruncatedCore:
+    """One truncated lagged instance on raw ints.
+
+    Bits accumulate into an s-bit block value; each completed block is
+    packed (Pascal kernel, or the boosted packing) and its codeword spread
+    over the next s positions.  push returns the position's symbol as an
+    int, or None before the first completed block.  The s^2-bit capacity is
+    the caller's to enforce.
+    """
+
+    __slots__ = ("level", "cur", "cnt", "diffs", "codeword")
+
+    def __init__(self, level: LevelCore):
+        self.level = level
+        self.cur = 0
+        self.cnt = 0
+        self.diffs: List[int] = []
+        self.codeword: Optional[Tuple[int, ...]] = None
+
+    def push(self, bit: int) -> Optional[int]:
+        cur = (self.cur << 1) | bit
+        cnt = self.cnt + 1
+        lv = self.level
+        if cnt == lv.s:
+            self.diffs, packed = lv.packer.pack(self.diffs, cur)
+            self.codeword = lv.code().symbols_for(packed)
+            cur = cnt = 0
+        self.cur = cur
+        self.cnt = cnt
+        codeword = self.codeword
+        return None if codeword is None else codeword[cnt]
+
+    def clone(self) -> "TruncatedCore":
+        other = TruncatedCore.__new__(TruncatedCore)
+        other.level = self.level
+        other.cur = self.cur
+        other.cnt = self.cnt
+        other.diffs = self.diffs
+        other.codeword = self.codeword
+        return other
+
+
+class UntruncatedCore:
+    """The untruncated lagged code on raw ints.
+
+    A fresh TruncatedCore starts at position j*h + 1 and lives for 2h
+    positions, so every position is covered by two instances (one at the
+    string start).  push returns (older, newer): each an int, or None.
+    """
+
+    __slots__ = ("level", "pos", "older", "newer")
+
+    def __init__(self, level: LevelCore):
+        self.level = level
+        self.pos = 0
+        self.older: Optional[TruncatedCore] = None
+        self.newer: Optional[TruncatedCore] = None
+
+    def push(self, bit: int) -> Tuple[Optional[int], Optional[int]]:
+        self.pos += 1
+        if self.pos % self.level.h == 1:
+            # Position j*h + 1: instance j spawns as `newer`, instance j-1
+            # moves to `older`, instance j-2 retires having consumed exactly
+            # its 2h = s^2 bits (its last bit was position j*h).
+            self.older = self.newer
+            self.newer = TruncatedCore(self.level)
+        older = self.older
+        return (None if older is None else older.push(bit), self.newer.push(bit))
+
+    def clone(self) -> "UntruncatedCore":
+        other = UntruncatedCore.__new__(UntruncatedCore)
+        other.level = self.level
+        other.pos = self.pos
+        other.older = None if self.older is None else self.older.clone()
+        other.newer = None if self.newer is None else self.newer.clone()
+        return other
+
+
 class StreamEncoderTruncatedLagged:
     """Online truncated lagged encoder: one bit in, one symbol out."""
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        s = params.s
-        if params.boost is None:
-            self.packer = StreamEncoderBlockTc(PackedCodeParams(s))
-        else:
-            self.packer = StreamEncoderBoostedBlockTc(BoostedPackedParams(s, params.boost))
+        self.core = TruncatedCore(LevelCore.from_params(params))
         self.pos = 0
-        self.block_bits: List[int] = []
-        self.codeword: Optional[Tuple[int, ...]] = None
-        self.codeword_start = 0
 
     def push(self, bit: int):
         s = self.params.s
         if self.pos >= s * s:
             raise ValueError("truncated encoder accepts at most %d bits" % (s * s))
         self.pos += 1
-        self.block_bits.append(bit)
-        if len(self.block_bits) == s:
-            packed = self.packer.push(self.block_bits)
-            self.block_bits = []
-            self.codeword = self.params.spec.symbols_for(packed.value)
-            self.codeword_start = self.pos
-        if self.codeword is None:
-            return BLANK
-        return FixedBits(
-            self.params.spec.c_delta, self.codeword[self.pos - self.codeword_start]
-        )
+        v = self.core.push(bit)
+        return BLANK if v is None else FixedBits(self.core.level.c_delta, v)
 
     def clone(self) -> "StreamEncoderTruncatedLagged":
         other = StreamEncoderTruncatedLagged.__new__(StreamEncoderTruncatedLagged)
         other.params = self.params
-        other.packer = self.packer.clone()
+        other.core = self.core.clone()
         other.pos = self.pos
-        other.block_bits = list(self.block_bits)
-        other.codeword = self.codeword
-        other.codeword_start = self.codeword_start
         return other
 
 
@@ -131,6 +223,14 @@ class LaggedSymbol:
     right: object
 
 
+def lagged_symbol(c_delta: int, left: Optional[int], right: Optional[int]) -> LaggedSymbol:
+    """Wrap an UntruncatedCore output: None becomes BLANK, an int a c_delta-bit symbol."""
+    return LaggedSymbol(
+        BLANK if left is None else FixedBits(c_delta, left),
+        BLANK if right is None else FixedBits(c_delta, right),
+    )
+
+
 class StreamEncoderUntruncatedLagged:
     """Online untruncated lagged encoder; any input length.
 
@@ -142,30 +242,16 @@ class StreamEncoderUntruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.h = params.s * params.s // 2
-        self.pos = 0
-        self.older: Optional[StreamEncoderTruncatedLagged] = None
-        self.newer: Optional[StreamEncoderTruncatedLagged] = None
+        self.core = UntruncatedCore(LevelCore.from_params(params))
 
     def push(self, bit: int) -> LaggedSymbol:
-        self.pos += 1
-        _, r = divmod(self.pos, self.h)
-        if r == 1:
-            # Position j*h + 1: instance j spawns as `newer`, instance j-1
-            # moves to `older`, instance j-2 retires having consumed exactly
-            # its 2h = s^2 bits (its last bit was position j*h).
-            self.older = self.newer
-            self.newer = StreamEncoderTruncatedLagged(self.params)
-        left = self.older.push(bit) if self.older is not None else BLANK
-        return LaggedSymbol(left, self.newer.push(bit))
+        left, right = self.core.push(bit)
+        return lagged_symbol(self.core.level.c_delta, left, right)
 
     def clone(self) -> "StreamEncoderUntruncatedLagged":
         other = StreamEncoderUntruncatedLagged.__new__(StreamEncoderUntruncatedLagged)
         other.params = self.params
-        other.h = self.h
-        other.pos = self.pos
-        other.older = self.older.clone() if self.older is not None else None
-        other.newer = self.newer.clone() if self.newer is not None else None
+        other.core = self.core.clone()
         return other
 
 

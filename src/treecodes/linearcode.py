@@ -1,45 +1,27 @@
 """Linear tree codes generated by triangular matrices, over the integers.
 
-The basic code sends x_1..x_k to the pairs (x_i, (Ax)_i): the generator
-pair (I, A).  Its boosted variant pads each s-entry input block with r
-zeros before applying A, trading rate for distance r/(r+s).  Instantiating
-A with the Pascal matrix gives the explicit tree code over the
-non-negative integers whose check coordinate stays below 2^k * max|a_j|.
+The basic code sends x_1..x_k to the pairs (x_i, (Ax)_i), the (I, A) code.
+Its boosted variant pads each s-entry input block with r zeros before
+applying A, trading rate for distance r/(r+s).  Instantiating A with the
+Pascal matrix gives the explicit tree code over the non-negative integers
+whose check coordinate stays below 2^k * max|a_j|.
 
 All encoders are online: the symbol at position i is emitted as soon as
-input i is consumed, and depends only on inputs 1..i.  Streaming cost is
-O(i) big-int multiplies per position (the input prefix is retained and
-row i of A is evaluated incrementally).
+input i is consumed, and depends only on inputs 1..i.  For a general A the
+check coordinate is the dot product of row i with the retained prefix (the
+reference).  For the Pascal matrix `pascal_step` computes it with i big-int
+additions and no matrix rows, by Newton's forward differences; it is the
+one Pascal sum used by every packed, lagged and pipeline encoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 from .core import IntPair
-from .pascal import LowerTriangularMatrix, pascal_matrix
-
-
-@dataclass(frozen=True)
-class GeneratorPair:
-    """The (A0, A1) generator pair of a rate-1/2 linear tree code.
-
-    A0 is the identity here (systematic first coordinate); only A1 = A
-    varies.  n caps the number of symbols the pair can generate.
-    """
-
-    A1: LowerTriangularMatrix
-    n: int
-    A0: Optional[LowerTriangularMatrix] = None
-
-    def __post_init__(self):
-        a0 = self.A0 if self.A0 is not None else LowerTriangularMatrix.identity(self.A1.n)
-        object.__setattr__(self, "A0", a0)
-        if self.A0.n != self.A1.n:
-            raise ValueError("generator matrices must share a dimension")
-        if not (0 < self.n <= self.A1.n):
-            raise ValueError("truncation length outside matrix dimension")
+from .pascal import LowerTriangularMatrix
 
 
 @dataclass(frozen=True)
@@ -68,6 +50,29 @@ class CxRxReport:
     ell: int
 
 
+def pascal_step(diffs: Sequence[int], x: int) -> List[int]:
+    """One step of the online Pascal kernel: consume x, return the new state.
+
+    The state is Newton's forward-difference table of y = Px.  After inputs
+    x_0..x_i it holds d_k = Delta^k y_(i-k) for k = 0..i.  The next input
+    sets d_(i+1) = x and then d_k += d_(k+1) for k from i down to 0, which
+    leaves y_(i+1) in d_0: additions only, and no matrix rows.  The state
+    stores d newest entry first, (d_i, ..., d_0), so the update is one
+    running sum and its last entry is the new check coordinate.  Start
+    from an empty list.  A state is never changed in place, so clones share
+    it.  (Lists, not tuples: freed tuples of every length would pile up in
+    the interpreter's tuple free lists, about 3 MB on a 2^14-bit pipeline
+    run with clones.)
+    """
+    return list(accumulate(chain((x,), diffs)))
+
+
+def _row_dot(A: LowerTriangularMatrix, x: Sequence[int], i: int) -> int:
+    """(Ax)_i from the entries x_0..x_i: the general-A reference sum."""
+    row = A.rows[i]
+    return sum(row[j] * x[j] for j in range(i + 1))
+
+
 class StreamEncoderTcA:
     """Online encoder for the (I, A) code: push x_i, get (x_i, (Ax)_i)."""
 
@@ -83,9 +88,7 @@ class StreamEncoderTcA:
         if i >= self.limit:
             raise ValueError("encoder already consumed %d symbols" % self.limit)
         self.inputs.append(x_i)
-        row = self.A.rows[i]
-        b = sum(row[j] * self.inputs[j] for j in range(i + 1))
-        return IntPair(x_i, b)
+        return IntPair(x_i, _row_dot(self.A, self.inputs, i))
 
 
 def encode_tc_a(A: LowerTriangularMatrix, x: Sequence[int]) -> Tuple[IntPair, ...]:
@@ -101,7 +104,8 @@ class StreamEncoderTcASr:
 
     Each pushed block of s integers is extended with r zeros, the matrix is
     applied to the concatenation of all extended blocks, and the r+s output
-    coordinates belonging to the new block are emitted.
+    coordinates belonging to the new block are emitted.  For a general A
+    they can be negative, so they are plain ints, not IntPairs.
     """
 
     def __init__(self, A: LowerTriangularMatrix, params: BoostParams, k: Optional[int] = None):
@@ -122,12 +126,8 @@ class StreamEncoderTcASr:
         self.padded.extend(block)
         self.padded.extend([0] * self.params.r)
         lo = self.blocks_done * self.width
-        out = []
-        for i in range(lo, lo + self.width):
-            row = self.A.rows[i]
-            out.append(sum(row[j] * self.padded[j] for j in range(i + 1)))
         self.blocks_done += 1
-        return tuple(out)
+        return tuple(_row_dot(self.A, self.padded, i) for i in range(lo, lo + self.width))
 
     def clone(self) -> "StreamEncoderTcASr":
         other = StreamEncoderTcASr.__new__(StreamEncoderTcASr)
@@ -148,13 +148,21 @@ def encode_tc_a_sr(
     return tuple(enc.push(b) for b in blocks)
 
 
-class StreamEncoderIntTreeCode(StreamEncoderTcA):
-    """The integer tree code: the (I, A) code with A the Pascal matrix."""
+class StreamEncoderIntTreeCode:
+    """The integer tree code: the (I, A) code with A the Pascal matrix,
+    computed by the online Pascal kernel; at most k symbols."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be positive")
-        super().__init__(pascal_matrix(k - 1), k)
+        self.limit = k
+        self.diffs: List[int] = []
+
+    def push(self, x_i: int) -> IntPair:
+        if len(self.diffs) >= self.limit:
+            raise ValueError("encoder already consumed %d symbols" % self.limit)
+        self.diffs = pascal_step(self.diffs, x_i)
+        return IntPair(x_i, self.diffs[-1])
 
 
 def encode_int_treecode(a: Sequence[int]) -> Tuple[IntPair, ...]:
@@ -184,6 +192,5 @@ def cx_rx_report(A: LowerTriangularMatrix, x: Sequence[int]) -> CxRxReport:
             break
         ell += 1
     C_x = frozenset(j + 1 for j, v in enumerate(x) if v != 0)
-    ax = [sum(A.rows[i][j] * x[j] for j in range(i + 1)) for i in range(k)]
-    R_x = frozenset(i + 1 for i in range(ell, k) if ax[i] == 0)
+    R_x = frozenset(i + 1 for i in range(ell, k) if _row_dot(A, x, i) == 0)
     return CxRxReport(C_x, R_x, ell)

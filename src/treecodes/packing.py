@@ -7,17 +7,18 @@ b_i <= 2^s * max a_j < 2^{2s} makes the 2s-bit budget exact.
 
 The boosted variant replaces the (a_i, b_i) pair with the zero-padded
 (s_int, r) integer code over wider coordinates; it is used only by the
-arbitrary-distance pipeline.
+arbitrary-distance pipeline.  Both packings run on the online Pascal
+kernel; the `pack` method of each params class is the raw step that the
+encoders here and the lagged core share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import BitString, FixedBits
-from .linearcode import BoostParams, StreamEncoderTcASr
-from .pascal import pascal_matrix
+from .linearcode import BoostParams, pascal_step
 
 
 @dataclass(frozen=True)
@@ -38,34 +39,41 @@ class PackedCodeParams:
     def symbol_bits(self) -> int:
         return 3 * self.s
 
+    def pack(self, diffs: List[int], a: int) -> Tuple[List[int], int]:
+        """Feed block value a to the Pascal kernel state diffs; return the
+        new state and the packed symbol a || b as an int."""
+        diffs = pascal_step(diffs, a)
+        return diffs, (a << (2 * self.s)) | diffs[-1]
+
 
 class StreamEncoderBlockTc:
-    """Online packed encoder: push one s-bit block, get one 3s-bit symbol."""
+    """Online packed encoder: push one s-bit block, get one packed symbol.
+
+    The params object packs: PackedCodeParams gives the 3s-bit symbols,
+    BoostedPackedParams the boosted ones.  At most s blocks are accepted.
+    """
 
     def __init__(self, params: PackedCodeParams):
         self.params = params
-        s = params.s
-        self.rows = pascal_matrix(s - 1).rows
-        self.inputs: List[int] = []
+        self.blocks = 0
+        self.diffs: List[int] = []
 
     def push(self, block) -> FixedBits:
-        s = self.params.s
-        if len(block) != s:
-            raise ValueError("block must be exactly %d bits" % s)
-        if len(self.inputs) >= s:
-            raise ValueError("encoder already consumed %d blocks" % s)
+        p = self.params
+        if len(block) != p.s:
+            raise ValueError("block must be exactly %d bits" % p.s)
+        if self.blocks >= p.s:
+            raise ValueError("encoder already consumed %d blocks" % p.s)
         a = BitString(block).to_int() if not isinstance(block, BitString) else block.to_int()
-        i = len(self.inputs)
-        self.inputs.append(a)
-        row = self.rows[i]
-        b = sum(row[j] * self.inputs[j] for j in range(i + 1))
-        return FixedBits(3 * s, (a << (2 * s)) | b)
+        self.diffs, value = p.pack(self.diffs, a)
+        self.blocks += 1
+        return FixedBits(p.symbol_bits, value)
 
     def clone(self) -> "StreamEncoderBlockTc":
         other = StreamEncoderBlockTc.__new__(StreamEncoderBlockTc)
         other.params = self.params
-        other.rows = self.rows
-        other.inputs = list(self.inputs)
+        other.blocks = self.blocks
+        other.diffs = self.diffs
         return other
 
 
@@ -106,35 +114,21 @@ class BoostedPackedParams:
     def symbol_bits(self) -> int:
         return (self.boost.r + 1) * self.coord_bits
 
-
-class StreamEncoderBoostedBlockTc:
-    """Online packed encoder over the zero-padded integer code."""
-
-    def __init__(self, params: BoostedPackedParams):
-        self.params = params
-        width = params.boost.r + 1
-        self.inner = StreamEncoderTcASr(
-            pascal_matrix(width * params.s - 1), params.boost, params.s
-        )
-
-    def push(self, block) -> FixedBits:
-        p = self.params
-        if len(block) != p.s:
-            raise ValueError("block must be exactly %d bits" % p.s)
-        a = BitString(block).to_int() if not isinstance(block, BitString) else block.to_int()
-        coords = self.inner.push((a,))
+    def pack(self, diffs: List[int], a: int) -> Tuple[List[int], int]:
+        """Feed a and then r zeros to the Pascal kernel state diffs; return
+        the new state and the r+1 coordinates packed into one int."""
+        bits = self.coord_bits
         value = 0
-        for c in coords:
-            if c >> p.coord_bits:
+        for v in (a,) + (0,) * self.boost.r:
+            diffs = pascal_step(diffs, v)
+            if diffs[-1] >> bits:
                 raise AssertionError("coordinate exceeds its packed width")
-            value = (value << p.coord_bits) | c
-        return FixedBits(p.symbol_bits, value)
+            value = (value << bits) | diffs[-1]
+        return diffs, value
 
-    def clone(self) -> "StreamEncoderBoostedBlockTc":
-        other = StreamEncoderBoostedBlockTc.__new__(StreamEncoderBoostedBlockTc)
-        other.params = self.params
-        other.inner = self.inner.clone()
-        return other
+
+# One encoder serves both codes: its BoostedPackedParams does the packing.
+StreamEncoderBoostedBlockTc = StreamEncoderBlockTc
 
 
 def encode_boosted_block_tc(

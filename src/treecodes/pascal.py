@@ -138,34 +138,12 @@ def minor_determinant(A: LowerTriangularMatrix, minor: MinorIndexPair) -> int:
 def staircase_pair_count(n: int) -> int:
     """Number of staircase (I, J) pairs of an n x n lower-triangular matrix.
 
-    Counted exactly by dynamic programming over (rows left, columns left,
-    pairs chosen); used only as the enumeration budget guard, so a simple
-    upper bound would also do, but the exact count is cheap.
+    Pairs of equal-size index sets with J dominated entrywise by I, the
+    empty pair included, are counted by the Catalan number C_(n+1); the
+    empty pair is no minor.  Closed form, so the budget guard costs O(1)
+    big-int operations.
     """
-    total = 0
-    for r in range(1, n + 1):
-        for I in itertools.combinations(range(n), r):
-            # J must be strictly increasing with j_s <= i_s.
-            total += _count_dominated(I)
-    return total
-
-
-def _count_dominated(I: tuple) -> int:
-    # Count strictly increasing J with j_s <= i_s for all s.
-    r = len(I)
-    # ways[v] = number of ways to pick prefix ending with j_last = v
-    ways = {-1: 1}
-    for s in range(r):
-        new = {}
-        acc = 0
-        run = 0
-        # j_s ranges over (previous j) + 1 .. I[s]
-        for v in range(0, I[s] + 1):
-            run += ways.get(v - 1, 0)
-            new[v] = run
-        ways = new
-        ways[-1] = 0
-    return sum(v for k, v in ways.items() if k >= 0)
+    return math.comb(2 * n + 2, n + 1) // (n + 2) - 1
 
 
 def iter_staircase_pairs(n: int) -> Iterator[MinorIndexPair]:

@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional, Tuple
 
-from .core import BLANK, AlphabetDescriptor, FixedBits, SymbolTuple
+from .core import AlphabetDescriptor, FixedBits, SymbolTuple
 from .ecc import CodeSpecC, _best_concat_params, _rs_recipe_params, build_code_c
-from .lagged import LaggedSymbol
+from .lagged import LaggedSymbol, LevelCore, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
-from .packing import BoostedPackedParams, StreamEncoderBoostedBlockTc
+from .packing import BoostedPackedParams
 
 
 class ScheduleError(ValueError):
@@ -185,129 +185,10 @@ class FinalSymbol:
         return SymbolTuple(tuple(parts))
 
 
-class _FastInstance:
-    """One truncated-lagged instance in the pipeline's flat representation.
-
-    Symbols are plain ints (None for blank); block codewords are computed
-    once per completed block via the level's block code.
-    """
-
-    __slots__ = ("level", "blocks", "cur", "cnt", "codeword", "idx", "boostpacker")
-
-    def __init__(self, level: "_LevelState"):
-        self.level = level
-        self.blocks: List[int] = []
-        self.cur = 0
-        self.cnt = 0
-        self.codeword: Optional[Tuple[int, ...]] = None
-        self.idx = 0
-        self.boostpacker = (
-            StreamEncoderBoostedBlockTc(level.boost_params)
-            if level.boost_params is not None
-            else None
-        )
-
-    def push(self, bit: int) -> Optional[int]:
-        self.cur = (self.cur << 1) | bit
-        self.cnt += 1
-        lv = self.level
-        if self.cnt == lv.s:
-            a = self.cur
-            self.cur = 0
-            self.cnt = 0
-            if self.boostpacker is None:
-                i = len(self.blocks)
-                self.blocks.append(a)
-                row = lv.pascal_row(i)
-                b = 0
-                blocks = self.blocks
-                for j in range(i + 1):
-                    b += row[j] * blocks[j]
-                packed = (a << (2 * lv.s)) | b
-            else:
-                packed = self.boostpacker.push(
-                    [(a >> (lv.s - 1 - t)) & 1 for t in range(lv.s)]
-                ).value
-            self.codeword = lv.spec().symbols_for(packed)
-            self.idx = 0
-        elif self.codeword is not None:
-            self.idx += 1
-        if self.codeword is None:
-            return None
-        return self.codeword[self.idx]
-
-    def clone(self) -> "_FastInstance":
-        other = _FastInstance.__new__(_FastInstance)
-        other.level = self.level
-        other.blocks = list(self.blocks)
-        other.cur = self.cur
-        other.cnt = self.cnt
-        other.codeword = self.codeword
-        other.idx = self.idx
-        other.boostpacker = None if self.boostpacker is None else self.boostpacker.clone()
-        return other
-
-
-class _LevelState:
-    """Shared per-level data plus the two live instances."""
-
-    __slots__ = (
-        "config", "s", "ell", "h", "c_delta", "pascal_rows",
-        "older", "newer", "boost_params",
-    )
-
-    def __init__(self, config: PipelineConfig, lv: ScheduleLevel):
-        self.config = config
-        self.s = lv.s
-        self.ell = lv.ell
-        self.h = lv.s * lv.s // 2
-        self.c_delta = level_c_delta(config, lv.s)
-        self.pascal_rows: List[Tuple[int, ...]] = []
-        self.older: Optional[_FastInstance] = None
-        self.newer: Optional[_FastInstance] = None
-        self.boost_params = (
-            None if config.boost is None else BoostedPackedParams(lv.s, config.boost)
-        )
-
-    def pascal_row(self, i: int) -> Tuple[int, ...]:
-        # Rows are materialized on demand: at most one row per completed
-        # block, so wide levels never pay for the full s x s matrix.
-        rows = self.pascal_rows
-        while len(rows) <= i:
-            k = len(rows)
-            rows.append(tuple(math.comb(k, j) for j in range(k + 1)))
-        return rows[i]
-
-    def spec(self) -> CodeSpecC:
-        cfg = self.config
-        spec = level_code(self.s, cfg.delta, cfg.recipe, cfg.seed, cfg.level_input_bits(self.s))
-        assert spec.c_delta == self.c_delta
-        return spec
-
-    def push(self, pos: int, bit: int):
-        _, r = divmod(pos, self.h)
-        if r == 1:
-            self.older = self.newer
-            self.newer = _FastInstance(self)
-        left = self.older.push(bit) if self.older is not None else None
-        return (left, self.newer.push(bit))
-
-    def clone_into(self, config: PipelineConfig) -> "_LevelState":
-        other = _LevelState.__new__(_LevelState)
-        other.config = self.config
-        other.s = self.s
-        other.ell = self.ell
-        other.h = self.h
-        other.c_delta = self.c_delta
-        other.pascal_rows = self.pascal_rows
-        other.boost_params = self.boost_params
-        other.older = self.older.clone() if self.older is not None else None
-        other.newer = self.newer.clone() if self.newer is not None else None
-        if other.older is not None:
-            other.older.level = other
-        if other.newer is not None:
-            other.newer.level = other
-        return other
+def _level_core(config: PipelineConfig, s: int) -> LevelCore:
+    code = partial(level_code, s, config.delta, config.recipe, config.seed,
+                   config.level_input_bits(s))
+    return LevelCore(s, level_c_delta(config, s), config.boost, code)
 
 
 class PipelineEncoder:
@@ -322,7 +203,7 @@ class PipelineEncoder:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.schedule = _config_schedule(config)
-        self.levels = [_LevelState(config, lv) for lv in self.schedule.levels]
+        self.levels = [UntruncatedCore(_level_core(config, lv.s)) for lv in self.schedule.levels]
         self.pos = 0
         self.window = 0
         self.wmask = (1 << config.window_bits) - 1
@@ -338,36 +219,27 @@ class PipelineEncoder:
         self.window = window
         wlen = min(i, self.config.window_bits)
         out = []
-        for lv in self.levels:
-            if lv.s > i:
-                # Inactive level: push the bit for state, emit nothing.
-                lv.push(i, bit)
-            else:
-                out.append(lv.push(i, bit))
-        return (wlen, self.window, tuple(out))
+        for pair in self.levels:
+            # An inactive level (s > i) takes the bit for its state only.
+            sym = pair.push(bit)
+            if pair.level.s <= i:
+                out.append(sym)
+        return (wlen, window, tuple(out))
 
     def push(self, bit: int) -> FinalSymbol:
         wlen, wval, raw = self.push_raw(bit)
-        levels = []
-        idx = 0
-        for lv in self.levels:
-            if lv.s > self.pos:
-                continue
-            left, right = raw[idx]
-            idx += 1
-            levels.append(
-                LaggedSymbol(
-                    BLANK if left is None else FixedBits(lv.c_delta, left),
-                    BLANK if right is None else FixedBits(lv.c_delta, right),
-                )
-            )
-        return FinalSymbol(FixedBits(wlen, wval), tuple(levels))
+        # zip stops after the active levels, which come first (s increases).
+        levels = tuple(
+            lagged_symbol(pair.level.c_delta, left, right)
+            for pair, (left, right) in zip(self.levels, raw)
+        )
+        return FinalSymbol(FixedBits(wlen, wval), levels)
 
     def clone(self) -> "PipelineEncoder":
         other = PipelineEncoder.__new__(PipelineEncoder)
         other.config = self.config
         other.schedule = self.schedule
-        other.levels = [lv.clone_into(self.config) for lv in self.levels]
+        other.levels = [pair.clone() for pair in self.levels]
         other.pos = self.pos
         other.window = self.window
         other.wmask = self.wmask
@@ -421,6 +293,13 @@ def boosted_config(
     For eta up to the default guarantee 1/16 the standard constants are
     returned; beyond it the boost r, the block-code distance and the lag
     ratio a are raised so that delta*(r/(r+1) - 3/(2a)) >= eta.
+
+    No configuration returned for eta > 1/16 can be encoded yet: it has
+    delta > 2/3 and r >= 3, so the RS level code needs field degree
+    m >= (r+1)(r+2)/(1-delta) >= 60 (the cap is 24) and the concatenated
+    recipe refuses delta >= 1/2; PipelineEncoder raises InfeasibleCodeError.
+    A hand-built PipelineConfig(n, delta=1/4, boost=BoostParams(1, 2))
+    encodes, with declared distance 5/48.
     """
     eta = Fraction(eta)
     if not 0 <= eta < 1:

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .core import BudgetExceededError, hamming_distance, split
@@ -33,6 +34,29 @@ class DistanceReport:
     space: str
 
 
+def _pair_ratios(encode: Callable, alphabet: tuple, lengths: range, lags: range):
+    """For each n in lengths and each pair x != x' in alphabet^n whose lag
+    n - split lies in lags, in enumeration order: (Hamming(enc(x),
+    enc(x')) / lag, (x, x', split, distance)).  The lag is filtered before
+    the encodings are compared."""
+    for n in lengths:
+        strings = list(itertools.product(alphabet, repeat=n))
+        encs = [tuple(encode(s)) for s in strings]
+        for i in range(len(strings)):
+            for j in range(i + 1, len(strings)):
+                sp = split(strings[i], strings[j])
+                if n - sp not in lags:
+                    continue
+                d = hamming_distance(encs[i], encs[j])
+                yield Fraction(d, n - sp), (strings[i], strings[j], sp, d)
+
+
+def _first_minimum(ratios, space: str) -> Optional[DistanceReport]:
+    # min() keeps the first of equal minima: the witness found first.
+    best = min(ratios, key=itemgetter(0), default=None)
+    return None if best is None else DistanceReport(best[0], best[1], space)
+
+
 def tree_distance_exhaustive(
     encode: Callable, alphabet: Sequence, n_max: int, budget: int = 2_000_000
 ) -> DistanceReport:
@@ -43,20 +67,10 @@ def tree_distance_exhaustive(
     pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
     if pairs > budget:
         raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-    best = None
-    for n in range(1, n_max + 1):
-        strings = list(itertools.product(alphabet, repeat=n))
-        encs = [tuple(encode(s)) for s in strings]
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                sp = split(strings[i], strings[j])
-                d = hamming_distance(encs[i], encs[j])
-                val = Fraction(d, n - sp)
-                if best is None or val < best.value:
-                    best = DistanceReport(
-                        val, (strings[i], strings[j], sp, d), "n<=%d over %d symbols" % (n_max, q)
-                    )
-    return best
+    lengths = range(1, n_max + 1)
+    return _first_minimum(
+        _pair_ratios(encode, alphabet, lengths, lengths), "n<=%d over %d symbols" % (n_max, q)
+    )
 
 
 def tree_distance_relaxed(
@@ -68,17 +82,9 @@ def tree_distance_relaxed(
     pairs = q**n * (q**n - 1) // 2
     if pairs > budget:
         raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-    best = None
-    strings = list(itertools.product(alphabet, repeat=n))
-    encs = [tuple(encode(s)) for s in strings]
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            sp = split(strings[i], strings[j])
-            d = hamming_distance(encs[i], encs[j])
-            val = Fraction(d, n - sp)
-            if best is None or val < best.value:
-                best = DistanceReport(val, (strings[i], strings[j], sp, d), "n=%d exactly" % n)
-    return best
+    return _first_minimum(
+        _pair_ratios(encode, alphabet, range(n, n + 1), range(1, n + 1)), "n=%d exactly" % n
+    )
 
 
 def weight_distance_linear(
@@ -128,22 +134,10 @@ def lagged_distance(
         pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
         if pairs > budget:
             raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-        best = None
-        for n in range(ell, n_max + 1):
-            strings = list(itertools.product(alphabet, repeat=n))
-            encs = [tuple(encode(s)) for s in strings]
-            for i in range(len(strings)):
-                for j in range(i + 1, len(strings)):
-                    sp = split(strings[i], strings[j])
-                    b = n - sp
-                    if not ell <= b <= L:
-                        continue
-                    d = hamming_distance(encs[i], encs[j])
-                    val = Fraction(d, b)
-                    if best is None or val < best.value:
-                        best = DistanceReport(
-                            val, (strings[i], strings[j], sp, d), "lag in [%d,%d]" % (ell, L)
-                        )
+        best = _first_minimum(
+            _pair_ratios(encode, alphabet, range(ell, n_max + 1), range(ell, L + 1)),
+            "lag in [%d,%d]" % (ell, L),
+        )
         if best is None:
             raise ValueError("no pair with lag in [%d, %d] found" % (ell, L))
         return best

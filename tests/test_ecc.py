@@ -12,16 +12,12 @@ import pytest
 from treecodes.ecc import (
     MEMO_MAX_INPUT_BITS,
     CodeSpecC,
-    GF2mElement,
     InfeasibleCodeError,
     RSParams,
     build_code_c,
     cached_inner_code,
     canonical_modulus,
     find_inner_code,
-    gf_add,
-    gf_inv,
-    gf_mul,
     gf_mul_int,
     load_inner_code,
     rs_encode,
@@ -45,18 +41,23 @@ def test_canonical_moduli_small_degrees():
 
 def test_gf_field_axioms_sampled():
     m = 5
+    mul = lambda a, b: gf_mul_int(m, a, b)
     rng = random.Random(1)
     for _ in range(200):
-        a = GF2mElement(m, rng.randrange(32))
-        b = GF2mElement(m, rng.randrange(32))
-        c = GF2mElement(m, rng.randrange(32))
-        assert gf_mul(a, b) == gf_mul(b, a)
-        assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
-        # Distributivity.
-        assert gf_mul(a, gf_add(b, c)) == gf_add(gf_mul(a, b), gf_mul(a, c))
+        a, b, c = rng.randrange(32), rng.randrange(32), rng.randrange(32)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        # Distributivity over addition, which is XOR.
+        assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
     for v in range(1, 32):
-        e = GF2mElement(m, v)
-        assert gf_mul(e, gf_inv(e)).value == 1
+        # The inverse is v^(2^m - 2), by square-and-multiply.
+        inv, base, e = 1, v, (1 << m) - 2
+        while e:
+            if e & 1:
+                inv = mul(inv, base)
+            base = mul(base, base)
+            e >>= 1
+        assert mul(v, inv) == 1
 
 
 def test_gf_mul_int_matches_known_aes_products():

@@ -8,7 +8,6 @@ import pytest
 from treecodes.core import IntPair
 from treecodes.linearcode import (
     BoostParams,
-    GeneratorPair,
     StreamEncoderIntTreeCode,
     StreamEncoderTcA,
     StreamEncoderTcASr,
@@ -17,7 +16,7 @@ from treecodes.linearcode import (
     encode_tc_a,
     encode_tc_a_sr,
 )
-from treecodes.pascal import LowerTriangularMatrix, pascal_matrix
+from treecodes.pascal import pascal_matrix
 
 
 def test_encode_tc_a_systematic_and_linear():
@@ -43,14 +42,6 @@ def test_encode_tc_a_length_guard():
     P = pascal_matrix(2)
     with pytest.raises(ValueError):
         encode_tc_a(P, [1, 2, 3, 4])
-
-
-def test_generator_pair_defaults_identity():
-    P = pascal_matrix(3)
-    gp = GeneratorPair(P, 4)
-    assert gp.A0.rows == LowerTriangularMatrix.identity(4).rows
-    with pytest.raises(ValueError):
-        GeneratorPair(P, 9)
 
 
 def test_boosted_encoder_pads_blocks():

@@ -75,7 +75,7 @@ def test_staircase_pair_validation():
 
 
 def test_staircase_count_matches_enumeration():
-    for n in range(1, 6):
+    for n in range(1, 10):
         assert staircase_pair_count(n) == sum(1 for _ in iter_staircase_pairs(n))
 
 

@@ -153,7 +153,30 @@ def test_level_codes_built_once_per_process(monkeypatch):
         fresh.push_raw(rng.randrange(2))
     assert len(calls) == 5
     # The level codes keep no memo: their wide inputs rarely repeat.
-    assert all(not lv.spec()._memo for lv in fresh.levels)
+    for lv in build_schedule(cfg.n).levels:
+        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe, cfg.seed,
+                                   cfg.level_input_bits(lv.s))
+        assert not spec._memo
+    assert len(calls) == 5
+
+
+def test_level_code_built_on_first_completed_block(monkeypatch):
+    # At n = 10^6 the top level (s = 28,812) has no buildable code yet; the
+    # encoder must run up to the position before its first block completes.
+    calls = []
+    real = pipeline.build_code_c
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_code_c", counting)
+    pipeline.level_code.cache_clear()
+    enc = PipelineEncoder(PipelineConfig(n=10**6))
+    rng = random.Random(9)
+    for _ in range(28811):
+        enc.push_raw(rng.randrange(2))
+    assert sorted(calls) == [16, 20, 32, 84, 588]
 
 
 def test_encode_final_matches_stream():
@@ -228,3 +251,17 @@ def test_boosted_config_monotone_sampled():
         eta = Fraction(rng.randrange(0, 99), 100)
         cfg = boosted_config(eta)
         assert cfg.declared_distance() >= eta
+
+
+def test_boosted_pipeline_symbol_widths_match_alphabet():
+    # A feasible boosted configuration up to its s=588 level's first blocks.
+    cfg = PipelineConfig(n=1 << 14, delta=Fraction(1, 4), boost=BoostParams(1, 2))
+    enc = PipelineEncoder(cfg)
+    rng = random.Random(8)
+    for i in range(1, 601):
+        sym = enc.push(rng.randrange(2))
+        width = sym.window.width + sum(
+            part.width for lv in sym.levels for part in (lv.left, lv.right)
+            if isinstance(part, FixedBits)
+        )
+        assert width == alphabet_at(cfg, i).total_bits, i
