@@ -102,6 +102,8 @@ def _cmd_encode_int(args, out):
             if not line:
                 continue
             a = int(line)
+            if a < 0:
+                raise ValueError("encode-int inputs must be non-negative, got %d" % a)
             diffs = pascal_step(diffs, a)
             pair = IntPair(a, diffs[-1])
             _emit(out, {"i": len(diffs), "a": str(pair.a), "b": str(pair.b)})

@@ -64,14 +64,15 @@ class FixedBits:
 
 @dataclass(frozen=True)
 class IntPair:
-    """A pair of non-negative integers (the symbols of the integer tree code)."""
+    """A symbol (x_i, (Ax)_i) of the (I, A) code over the integers.
+
+    Both components are non-negative for the integer tree code (A the
+    Pascal matrix, non-negative inputs), whose encoders check their inputs;
+    a signed matrix can give a negative check coordinate.
+    """
 
     a: int
     b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("IntPair components must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class AlphabetDescriptor:
     structure: tuple  # of (component name, bit count or "blank")
 
     def __post_init__(self):
-        counted = sum(b for _, b in self.structure if b != "blank")
+        counted = sum([b for _, b in self.structure if b != "blank"])
         if counted != self.total_bits:
             raise ValueError("total_bits inconsistent with structure")
 
@@ -176,18 +177,68 @@ def hamming_weight(x: Sequence, zero) -> int:
     return sum(1 for a in x if a != zero)
 
 
+# "%0<d>x" with d = max(1, ceil(width/4)) hex digits, for widths below 256.
+_HEX_FORMATS = tuple("%%0%dx" % max(1, (w + 3) // 4) for w in range(256))
+
+
+def _fixed_text(sym: FixedBits) -> str:
+    w = sym.width
+    if w < len(_HEX_FORMATS):
+        return _HEX_FORMATS[w] % sym.value
+    return format(sym.value, "0%dx" % ((w + 3) // 4))
+
+
+def _tuple_text(sym: SymbolTuple) -> str:
+    # The pipeline's symbols are tuples of FixedBits, BLANK and tuples of
+    # those, so the loop handles these three kinds without a dispatch.
+    out = []
+    for p in sym.parts:
+        kind = type(p)
+        if kind is FixedBits:
+            w = p.width
+            out.append(_HEX_FORMATS[w] % p.value if w < len(_HEX_FORMATS) else _fixed_text(p))
+        elif p is BLANK:
+            out.append("-")
+        elif kind is SymbolTuple:
+            out.append(_tuple_text(p))
+        else:
+            out.append(serialize_symbol(p))
+    return "(" + ",".join(out) + ")"
+
+
+_TEXT_BY_TYPE = {
+    SymbolTuple: _tuple_text,
+    FixedBits: _fixed_text,
+    _Blank: lambda sym: "-",
+    int: str,
+    IntPair: lambda sym: "(%d,%d)" % (sym.a, sym.b),
+}
+
+
 def serialize_symbol(sym) -> str:
     """Render an output symbol using the package-wide text conventions.
 
     Blank -> "-";  FixedBits -> lowercase hex, MSB first (width is carried
     out of band);  plain ints (Nat) -> decimal;  IntPair and SymbolTuple ->
-    comma-joined components in parentheses.
+    comma-joined components in parentheses.  A negative integer, which only
+    the (I, A) code of a signed matrix emits, is written in decimal with a
+    leading "-", as in "(1,-2)"; the blank is a lone "-" with no digits.
+
+    The exact package types are looked up by type(sym); anything else
+    (bool, subclasses) takes the isinstance order of _serialize_subclass,
+    which gives the same text.
     """
+    text = _TEXT_BY_TYPE.get(type(sym))
+    if text is None:
+        return _serialize_subclass(sym)
+    return text(sym)
+
+
+def _serialize_subclass(sym) -> str:
     if sym is BLANK or isinstance(sym, _Blank):
         return "-"
     if isinstance(sym, FixedBits):
-        ndigits = max(1, (sym.width + 3) // 4)
-        return format(sym.value, "0%dx" % ndigits)
+        return _fixed_text(sym)
     if isinstance(sym, int):
         return str(sym)
     if isinstance(sym, IntPair):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -279,6 +280,7 @@ class CodeSpecC:
         memo = {} if self.input_bits <= MEMO_MAX_INPUT_BITS else None
         object.__setattr__(self, "_memo", memo)
         object.__setattr__(self, "_byte_tables", None)
+        object.__setattr__(self, "_split_plan", None)
 
     def symbols_for(self, packed: int) -> Tuple[int, ...]:
         """Codeword of an input_bits-wide packed message, as s symbol ints.
@@ -294,14 +296,64 @@ class CodeSpecC:
             got = memo.get(packed)
             if got is not None:
                 return got
-        out = self.encode_int(packed)
-        c = self.c_delta
-        total = self.s * c
-        mask = (1 << c) - 1
-        got = tuple((out >> (total - (j + 1) * c)) & mask for j in range(self.s))
+        got = self.split_codeword(self.encode_int(packed))
         if memo is not None:
             memo[packed] = got
         return got
+
+    def split_codeword(self, out: int) -> Tuple[int, ...]:
+        """The s c_delta-bit symbols of an s*c_delta-bit codeword, first
+        symbol from the most significant bits.
+
+        O(log s) big-int steps: the fields are spread into byte-aligned
+        lanes of 8, 16, 32 or 64 bits, read by one struct.unpack.  Symbols
+        wider than 64 bits (the concatenated recipe's 63-154) get lanes of
+        whole bytes, read by one int.from_bytes each.  The masks are built
+        on the first call and kept with the code.
+        """
+        plan = self._split_plan
+        if plan is None:
+            plan = self._build_split_plan()
+        steps, nbytes, unpack = plan
+        for mask, shift in steps:
+            moved = out & mask
+            out = (out ^ moved) | (moved << shift)
+        return unpack(out.to_bytes(nbytes, "big"))
+
+    def _build_split_plan(self):
+        # Symbol t (counted from the least significant end) starts at bit
+        # t*c and must move to lane t, at bit t*lane: a shift of t*gap for
+        # gap = lane - c.  Bit b of t, from high to low, moves by 2^b*gap
+        # the fields whose index has bit b set.  Before that step each group
+        # of 2^(b+1) fields sharing the bits of t above b sits contiguous
+        # from its lane, every 2^(b+1)*lane bits, and the fields to move are
+        # the upper 2^b of each group (fewer in a last, partial group).
+        s, c = self.s, self.c_delta
+        lane = next((w for w in (8, 16, 32, 64) if c <= w), 8 * -(-c // 8))
+        gap = lane - c
+        steps = []
+        for b in reversed(range((s - 1).bit_length()) if gap else ()):
+            half = 1 << b
+            period = 2 * half * lane
+            groups, rest = divmod(s, 2 * half)
+            upper = ((1 << (half * c)) - 1) << (half * c)
+            mask = _repeat_bits(upper, period, groups)
+            if rest > half:
+                mask |= ((1 << ((rest - half) * c)) - 1) << (groups * period + half * c)
+            steps.append((mask, half * gap))
+        nbytes = s * lane // 8
+        if lane <= 64:
+            unpack = struct.Struct(">%d%s" % (s, {8: "B", 16: "H", 32: "I", 64: "Q"}[lane])).unpack
+        else:
+            width = lane // 8
+
+            def unpack(raw):
+                return tuple([int.from_bytes(raw[i:i + width], "big")
+                              for i in range(0, nbytes, width)])
+
+        plan = (tuple(steps), nbytes, unpack)
+        object.__setattr__(self, "_split_plan", plan)
+        return plan
 
     def encode_int(self, x: int) -> int:
         """Encode input_bits packed into an int; returns s*c_delta packed bits."""
@@ -355,6 +407,19 @@ class CodeSpecC:
         for b in bits:
             x = (x << 1) | b
         return self.symbols_for(x)
+
+
+def _repeat_bits(pattern: int, period: int, count: int) -> int:
+    """count copies of pattern, every period bits, by doubling."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= pattern << shift
+            shift += period
+        pattern |= pattern << period
+        period *= 2
+        count >>= 1
+    return out
 
 
 def _rs_recipe_params(input_bits: int, s: int, delta: Fraction) -> RSParams:

@@ -57,6 +57,7 @@ class LaggedParams:
                 "block code consumes %d bits, packed symbols have %d"
                 % (self.spec.input_bits, expected)
             )
+        object.__setattr__(self, "_level", None)  # LevelCore.from_params
 
     @property
     def a(self) -> int:
@@ -73,13 +74,20 @@ class LaggedParams:
         return self.spec.provable_delta * (base - Fraction(3, 2 * self.a))
 
 
+# A level interns its FixedBits symbols in a direct-mapped table of
+# 2^min(c_delta, INTERN_BITS) entries, so the table is bounded whatever the
+# symbol width (rs levels have 5-17 bits, concat levels 63-539).
+INTERN_BITS = 10
+
+
 class LevelCore:
     """What every instance of one lagged code shares: the block width s,
     the instance period h = s^2/2, the symbol width c_delta, the packing,
-    and the block code, built by make_spec when the first block completes
-    (so a wide code is never built for a stream too short to need it)."""
+    the block code, built by make_spec when the first block completes
+    (so a wide code is never built for a stream too short to need it), and
+    the table of interned symbols."""
 
-    __slots__ = ("s", "h", "c_delta", "packer", "spec", "make_spec")
+    __slots__ = ("s", "h", "c_delta", "packer", "spec", "make_spec", "symbols", "symbol_mask")
 
     def __init__(
         self, s: int, c_delta: int, boost: Optional[BoostParams],
@@ -91,10 +99,18 @@ class LevelCore:
         self.packer = PackedCodeParams(s) if boost is None else BoostedPackedParams(s, boost)
         self.spec: Optional[CodeSpecC] = None
         self.make_spec = make_spec
+        self.symbol_mask = (1 << min(c_delta, INTERN_BITS)) - 1
+        self.symbols: List[Optional[FixedBits]] = [None] * (self.symbol_mask + 1)
 
     @classmethod
     def from_params(cls, params: LaggedParams) -> "LevelCore":
-        return cls(params.s, params.spec.c_delta, params.boost, lambda: params.spec)
+        """The level of params, made on first use and shared by every
+        encoder built from the same params, so they share one symbol table."""
+        level = params._level
+        if level is None:
+            level = cls(params.s, params.spec.c_delta, params.boost, lambda: params.spec)
+            object.__setattr__(params, "_level", level)
+        return level
 
     def code(self) -> CodeSpecC:
         if self.spec is None:
@@ -104,6 +120,19 @@ class LevelCore:
                                      % (spec.c_delta, self.c_delta))
             self.spec = spec
         return self.spec
+
+    def symbol(self, value: int) -> FixedBits:
+        """FixedBits(c_delta, value), interned.
+
+        The slot is the value's low bits; a slot holding another value is
+        overwritten.  Every symbol is built by the FixedBits constructor, so
+        a value out of range raises as it would without the table.
+        """
+        slot = value & self.symbol_mask
+        sym = self.symbols[slot]
+        if sym is None or sym.value != value:
+            sym = self.symbols[slot] = FixedBits(self.c_delta, value)
+        return sym
 
 
 class TruncatedCore:
@@ -198,7 +227,7 @@ class StreamEncoderTruncatedLagged:
             raise ValueError("truncated encoder accepts at most %d bits" % (s * s))
         self.pos += 1
         v = self.core.push(bit)
-        return BLANK if v is None else FixedBits(self.core.level.c_delta, v)
+        return BLANK if v is None else self.core.level.symbol(v)
 
     def clone(self) -> "StreamEncoderTruncatedLagged":
         other = StreamEncoderTruncatedLagged.__new__(StreamEncoderTruncatedLagged)
@@ -223,11 +252,12 @@ class LaggedSymbol:
     right: object
 
 
-def lagged_symbol(c_delta: int, left: Optional[int], right: Optional[int]) -> LaggedSymbol:
-    """Wrap an UntruncatedCore output: None becomes BLANK, an int a c_delta-bit symbol."""
+def lagged_symbol(level: LevelCore, left: Optional[int], right: Optional[int]) -> LaggedSymbol:
+    """Wrap an UntruncatedCore output: None becomes BLANK, an int the
+    level's interned c_delta-bit symbol (LevelCore.symbol)."""
     return LaggedSymbol(
-        BLANK if left is None else FixedBits(c_delta, left),
-        BLANK if right is None else FixedBits(c_delta, right),
+        BLANK if left is None else level.symbol(left),
+        BLANK if right is None else level.symbol(right),
     )
 
 
@@ -246,7 +276,7 @@ class StreamEncoderUntruncatedLagged:
 
     def push(self, bit: int) -> LaggedSymbol:
         left, right = self.core.push(bit)
-        return lagged_symbol(self.core.level.c_delta, left, right)
+        return lagged_symbol(self.core.level, left, right)
 
     def clone(self) -> "StreamEncoderUntruncatedLagged":
         other = StreamEncoderUntruncatedLagged.__new__(StreamEncoderUntruncatedLagged)

@@ -74,7 +74,12 @@ def _row_dot(A: LowerTriangularMatrix, x: Sequence[int], i: int) -> int:
 
 
 class StreamEncoderTcA:
-    """Online encoder for the (I, A) code: push x_i, get (x_i, (Ax)_i)."""
+    """Online encoder for the (I, A) code: push x_i, get (x_i, (Ax)_i).
+
+    Over the integers: a signed matrix (or signed input) gives a signed
+    check coordinate, which IntPair carries and serialize_symbol writes
+    with a leading "-".
+    """
 
     def __init__(self, A: LowerTriangularMatrix, k: Optional[int] = None):
         self.A = A
@@ -161,6 +166,8 @@ class StreamEncoderIntTreeCode:
     def push(self, x_i: int) -> IntPair:
         if len(self.diffs) >= self.limit:
             raise ValueError("encoder already consumed %d symbols" % self.limit)
+        if x_i < 0:
+            raise ValueError("inputs must be non-negative")
         self.diffs = pascal_step(self.diffs, x_i)
         return IntPair(x_i, self.diffs[-1])
 

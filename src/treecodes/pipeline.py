@@ -28,7 +28,9 @@ from functools import lru_cache, partial
 from typing import List, Optional, Tuple
 
 from .core import AlphabetDescriptor, FixedBits, SymbolTuple
-from .ecc import CodeSpecC, _best_concat_params, _rs_recipe_params, build_code_c
+from .ecc import (
+    CodeSpecC, InfeasibleCodeError, _best_concat_params, _rs_recipe_params, build_code_c,
+)
 from .lagged import LaggedSymbol, LevelCore, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
 from .packing import BoostedPackedParams
@@ -157,8 +159,6 @@ def level_c_delta(config: PipelineConfig, s: int) -> int:
         return _rs_recipe_params(bits, s, config.delta).m
     choice = _best_concat_params(bits, s, config.delta)
     if choice is None:
-        from .ecc import InfeasibleCodeError
-
         raise InfeasibleCodeError("concatenated recipe infeasible at s=%d" % s)
     return choice[2]
 
@@ -179,10 +179,9 @@ class FinalSymbol:
     levels: Tuple[LaggedSymbol, ...]
 
     def to_symbol(self) -> SymbolTuple:
-        parts = [self.window]
-        for lv in self.levels:
-            parts.append(SymbolTuple((lv.left, lv.right)))
-        return SymbolTuple(tuple(parts))
+        return SymbolTuple(
+            (self.window,) + tuple([SymbolTuple((lv.left, lv.right)) for lv in self.levels])
+        )
 
 
 def _level_core(config: PipelineConfig, s: int) -> LevelCore:
@@ -229,10 +228,10 @@ class PipelineEncoder:
     def push(self, bit: int) -> FinalSymbol:
         wlen, wval, raw = self.push_raw(bit)
         # zip stops after the active levels, which come first (s increases).
-        levels = tuple(
-            lagged_symbol(pair.level.c_delta, left, right)
+        levels = tuple([
+            lagged_symbol(pair.level, left, right)
             for pair, (left, right) in zip(self.levels, raw)
-        )
+        ])
         return FinalSymbol(FixedBits(wlen, wval), levels)
 
     def clone(self) -> "PipelineEncoder":
@@ -255,29 +254,54 @@ def encode_final(config: PipelineConfig, bits) -> tuple:
     return tuple(enc.push(b) for b in bits)
 
 
+@lru_cache(maxsize=None)
+def _symbol_layout(config: PipelineConfig) -> tuple:
+    """(window bits, levels) for alphabet_at: per schedule level, in order
+    of increasing s, the tuple (s, h, c_delta, "Lg.left", "Lg.right").
+
+    A level whose block code is infeasible ends the tuple with
+    (s, None, message), so that alphabet_at raises only from that level's
+    first position on, as the encoder would.
+    """
+    levels = []
+    for lv in _config_schedule(config).levels:
+        try:
+            c = level_c_delta(config, lv.s)
+        except InfeasibleCodeError as exc:
+            levels.append((lv.s, None, str(exc), None, None))
+            break
+        levels.append((lv.s, lv.s * lv.s // 2, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
+    return config.window_bits, tuple(levels)
+
+
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
     """Exact bit accounting of the symbol at position i; independent of n
     for all n that include the position's active levels."""
     if not 1 <= i <= config.n:
         raise ValueError("position outside [1, n]")
-    structure = [("window", min(i, config.window_bits))]
-    total = min(i, config.window_bits)
-    for lv in _config_schedule(config).levels:
-        if lv.s > i:
-            continue
-        c = level_c_delta(config, lv.s)
-        h = lv.s * lv.s // 2
+    window_bits, levels = _symbol_layout(config)
+    total = i if i < window_bits else window_bits
+    structure = [("window", total)]
+    for s, h, c, left_name, right_name in levels:
+        if s > i:
+            break
+        if h is None:
+            raise InfeasibleCodeError(c)
         # Left slot: the older instance exists from position h+1 on.
-        left = c if i > h else "blank"
+        if i > h:
+            structure.append((left_name, c))
+            total += c
+        else:
+            structure.append((left_name, "blank"))
         # Right slot: the newer instance's local position is i mod h (or h
         # when the position is a segment boundary); blank before its first
         # completed block.
         r = i % h
-        local = h if r == 0 else r
-        right = c if local >= lv.s else "blank"
-        structure.append(("L%d.left" % lv.g, left))
-        structure.append(("L%d.right" % lv.g, right))
-        total += (0 if left == "blank" else c) + (0 if right == "blank" else c)
+        if r == 0 or r >= s:
+            structure.append((right_name, c))
+            total += c
+        else:
+            structure.append((right_name, "blank"))
     return AlphabetDescriptor(i, total, tuple(structure))
 
 

@@ -46,6 +46,14 @@ def test_encode_int_stream(tmp_path, capsys):
     assert records[2]["b"] == str(3 + 2 * 1 + 4)
 
 
+def test_encode_int_rejects_negative(tmp_path, capsys):
+    inp = tmp_path / "vals.txt"
+    inp.write_text("3\n-1\n")
+    code, out = run_cli(capsys, "encode-int", "--input", str(inp))
+    assert code != 0
+    assert [json.loads(line)["a"] for line in out.strip().splitlines()] == ["3"]
+
+
 def test_encode_chs_bits_and_hex_agree(tmp_path, capsys):
     bits = tmp_path / "bits.txt"
     bits.write_text("10100111\n")

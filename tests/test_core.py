@@ -47,6 +47,69 @@ def test_serialize_symbol_forms():
     assert serialize_symbol(inner) == "(1,-)"
 
 
+def _serialize_reference(sym):
+    # The recursive isinstance chain serialize_symbol replaced, kept as the
+    # reference for its text.
+    if sym is BLANK or isinstance(sym, type(BLANK)):
+        return "-"
+    if isinstance(sym, FixedBits):
+        ndigits = max(1, (sym.width + 3) // 4)
+        return format(sym.value, "0%dx" % ndigits)
+    if isinstance(sym, int):
+        return str(sym)
+    if isinstance(sym, IntPair):
+        return "(%d,%d)" % (sym.a, sym.b)
+    if isinstance(sym, SymbolTuple):
+        return "(" + ",".join(_serialize_reference(p) for p in sym.parts) + ")"
+    raise TypeError("cannot serialize %r" % (sym,))
+
+
+class _TaggedBits(FixedBits):
+    pass
+
+
+class _TaggedTuple(SymbolTuple):
+    pass
+
+
+def _random_symbol(rng, depth):
+    kind = rng.randrange(9 if depth < 4 else 7)
+    if kind == 0:
+        return BLANK
+    if kind in (1, 2):
+        width = rng.choice((0, 1, 3, 4, 5, 10, 63, 64, 77, 154, 255, 256, 300))
+        cls = FixedBits if kind == 1 else _TaggedBits
+        return cls(width, rng.getrandbits(width) if width else 0)
+    if kind == 3:
+        return rng.randrange(-10**6, 10**6)
+    if kind == 4:
+        return rng.random() < 0.5
+    if kind in (5, 6):
+        return IntPair(rng.randrange(-999, 10**9), rng.randrange(-10**12, 10**12))
+    cls = SymbolTuple if kind == 7 else _TaggedTuple
+    return cls(tuple(_random_symbol(rng, depth + 1) for _ in range(rng.randrange(1, 5))))
+
+
+def test_serialize_symbol_matches_reference_on_random_trees():
+    rng = random.Random(12)
+    for _ in range(3000):
+        sym = _random_symbol(rng, 0)
+        assert serialize_symbol(sym) == _serialize_reference(sym), sym
+    assert serialize_symbol(True) == "True"
+    assert serialize_symbol(_TaggedBits(12, 0xABC)) == "abc"
+    assert serialize_symbol(IntPair(1, -2)) == "(1,-2)"
+
+
+def test_serialize_symbol_rejects_unknown_types():
+    for bad in (1.5, "01", [1], (FixedBits(1, 1),), None,
+                SymbolTuple((FixedBits(2, 1), 2.0)),
+                SymbolTuple((SymbolTuple((BLANK, object())),))):
+        with pytest.raises(TypeError):
+            serialize_symbol(bad)
+        with pytest.raises(TypeError):
+            _serialize_reference(bad)
+
+
 def test_bitstring_roundtrip():
     bs = BitString((1, 0, 1, 1, 0))
     assert bs.to_int() == 22

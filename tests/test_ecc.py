@@ -1,5 +1,6 @@
 """Tests for the finite-field tools and the block-code recipes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -272,3 +273,51 @@ def test_symbols_for_memoizes_only_small_input_spaces():
     assert wide.input_bits > MEMO_MAX_INPUT_BITS
     assert wide.symbols_for(5) == wide.symbols_for(5)
     assert not wide._memo
+
+
+def _split_reference(s, c, out):
+    # The per-symbol shift symbols_for used before split_codeword, kept as
+    # the reference: O(s^2 c) bit work.
+    total = s * c
+    mask = (1 << c) - 1
+    return tuple((out >> (total - (j + 1) * c)) & mask for j in range(s))
+
+
+def _recipe_symbol_shapes():
+    # Every (s, c_delta) of the schedule levels up to n=10^6 under the rs,
+    # concat and boosted recipes (the boosted concat level at s=28812 is
+    # infeasible), the s=4 toy code, the concat s=64 test code, and the
+    # lane-filling widths 8, 16, 32 and 64, where no field moves.
+    from treecodes.linearcode import BoostParams
+    from treecodes.pipeline import PipelineConfig, build_schedule, level_c_delta
+
+    shapes = {(4, 5), (64, 105), (16, 8), (20, 16), (7, 32), (5, 64), (3, 1), (1, 9)}
+    for recipe in ("rs", "concat"):
+        for boost in (None, BoostParams(1, 2)):
+            cfg = PipelineConfig(n=10**6, recipe=recipe, boost=boost)
+            for lv in build_schedule(cfg.n).levels:
+                try:
+                    shapes.add((lv.s, level_c_delta(cfg, lv.s)))
+                except InfeasibleCodeError:
+                    assert (recipe, lv.s) == ("concat", 28812)
+    return sorted(shapes)
+
+
+def test_split_codeword_matches_shift_reference():
+    toy = build_code_c(4, Fraction(1, 4), "rs")
+    rng = random.Random(15)
+    shapes = _recipe_symbol_shapes()
+    assert {c for _, c in shapes} >= {5, 10, 15, 17, 63, 154}
+    for s, c in shapes:
+        spec = dataclasses.replace(toy, s=s, c_delta=c)
+        total = s * c
+        assert spec.split_codeword(0) == (0,) * s
+        assert spec.split_codeword((1 << total) - 1) == ((1 << c) - 1,) * s
+        # Known symbols packed through a bit string, split back.
+        syms = tuple(rng.getrandbits(c) for _ in range(s))
+        packed = int("".join(format(v, "0%db" % c) for v in syms), 2)
+        assert spec.split_codeword(packed) == syms, (s, c)
+        if s <= 588:
+            for out in [0, (1 << total) - 1] + [rng.getrandbits(total) for _ in range(3)]:
+                assert spec.split_codeword(out) == _split_reference(s, c, out), (s, c)
+

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from treecodes.core import IntPair
+from treecodes.core import IntPair, serialize_symbol
 from treecodes.linearcode import (
     BoostParams,
     StreamEncoderIntTreeCode,
@@ -16,7 +16,7 @@ from treecodes.linearcode import (
     encode_tc_a,
     encode_tc_a_sr,
 )
-from treecodes.pascal import pascal_matrix
+from treecodes.pascal import is_totally_nonsingular, pascal_matrix, search_tns
 
 
 def test_encode_tc_a_systematic_and_linear():
@@ -42,6 +42,19 @@ def test_encode_tc_a_length_guard():
     P = pascal_matrix(2)
     with pytest.raises(ValueError):
         encode_tc_a(P, [1, 2, 3, 4])
+
+
+def test_encode_tc_a_signed_tns_matrix():
+    A = search_tns(3, 2, seed=0)
+    assert is_totally_nonsingular(A).ok
+    assert any(v < 0 for row in A.rows for v in row)
+    out = encode_tc_a(A, (0, 0, 1))
+    assert out == (IntPair(0, 0), IntPair(0, 0), IntPair(1, A.rows[2][2]))
+    assert [serialize_symbol(p) for p in out] == ["(0,0)", "(0,0)", "(1,%d)" % A.rows[2][2]]
+    assert serialize_symbol(IntPair(-1, -3)) == "(-1,-3)"
+    x = (1, -1, 2)
+    assert encode_tc_a(A, x) == tuple(
+        IntPair(x[i], sum(A.rows[i][j] * x[j] for j in range(i + 1))) for i in range(3))
 
 
 def test_boosted_encoder_pads_blocks():
@@ -87,6 +100,11 @@ def test_int_treecode_rejects_negative():
     with pytest.raises(ValueError):
         encode_int_treecode([1, -2])
     assert encode_int_treecode([]) == ()
+    enc = StreamEncoderIntTreeCode(3)
+    enc.push(1)
+    with pytest.raises(ValueError):
+        enc.push(-2)
+    assert enc.push(2) == IntPair(2, 3)
 
 
 def test_int_treecode_streaming():

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 import treecodes.pipeline as pipeline
-from treecodes.core import BLANK, FixedBits
+from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
+from treecodes.ecc import InfeasibleCodeError
+from treecodes.lagged import INTERN_BITS
 from treecodes.linearcode import BoostParams
 from treecodes.pipeline import (
     PipelineConfig,
@@ -210,6 +212,99 @@ def test_clone_diverges_independently():
     assert out_a[0] != out_b[0]
     # Same-suffix replay from a fresh clone is identical.
     # (Clones share immutable level data but no mutable state.)
+
+
+def _alphabet_at_reference(config, i):
+    # The schedule walk alphabet_at replaced, kept as the reference.
+    if not 1 <= i <= config.n:
+        raise ValueError("position outside [1, n]")
+    structure = [("window", min(i, config.window_bits))]
+    total = min(i, config.window_bits)
+    for lv in build_schedule(config.n, config.s_min, config.a).levels:
+        if lv.s > i:
+            continue
+        c = level_c_delta(config, lv.s)
+        h = lv.s * lv.s // 2
+        left = c if i > h else "blank"
+        r = i % h
+        local = h if r == 0 else r
+        right = c if local >= lv.s else "blank"
+        structure.append(("L%d.left" % lv.g, left))
+        structure.append(("L%d.right" % lv.g, right))
+        total += (0 if left == "blank" else c) + (0 if right == "blank" else c)
+    return AlphabetDescriptor(i, total, tuple(structure))
+
+
+def _same_descriptor(config, i):
+    got, want = alphabet_at(config, i), _alphabet_at_reference(config, i)
+    assert (got.position, got.total_bits, got.structure) == (
+        want.position, want.total_bits, want.structure), (config, i)
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(n=1 << 14),
+    PipelineConfig(n=1 << 14, recipe="concat"),
+    PipelineConfig(n=1 << 14, boost=BoostParams(1, 2)),
+    # With a=4 and s_min=8 the schedule stalls after its first level, so
+    # n=32 = a*s_min is the only length it admits.
+    PipelineConfig(n=32, a=4, s_min=8),
+    PipelineConfig(n=1 << 14, a=4, s_min=16),
+])
+def test_alphabet_at_matches_schedule_walk_everywhere(config):
+    for i in range(1, config.n + 1):
+        _same_descriptor(config, i)
+
+
+def test_alphabet_at_matches_schedule_walk_sampled_to_a_million():
+    config = PipelineConfig(n=10**6)
+    rng = random.Random(14)
+    positions = {1, 96, 97, 98, config.n}
+    for lv in build_schedule(config.n).levels:
+        h = lv.s * lv.s // 2
+        for base in (lv.s, h, 2 * h, 3 * h):
+            positions.update(range(max(1, base - 2), min(config.n, base + lv.s + 2) + 1))
+    positions.update(rng.randrange(1, config.n + 1) for _ in range(20000))
+    for i in sorted(positions):
+        _same_descriptor(config, i)
+
+
+def test_alphabet_at_raises_from_an_infeasible_level_only():
+    # boosted_config(1/8) has no feasible level code at s=16 (ROADMAP item
+    # 6): the window-only positions are still accounted, as by the walk.
+    config = boosted_config(Fraction(1, 8))
+    first = build_schedule(config.n, config.s_min, config.a).levels[0].s
+    for i in range(1, first):
+        _same_descriptor(config, i)
+    for i in (first, first + 1, config.n):
+        with pytest.raises(InfeasibleCodeError):
+            alphabet_at(config, i)
+        with pytest.raises(InfeasibleCodeError):
+            _alphabet_at_reference(config, i)
+
+
+def test_interned_level_symbols_stay_bounded():
+    # n=586 keeps the concat stream below the s=588 level, whose code takes
+    # seconds to build; its levels still see more symbols than the table
+    # holds, so slots are overwritten.
+    cfg = PipelineConfig(n=586, recipe="concat")
+    enc = PipelineEncoder(cfg)
+    rng = random.Random(17)
+    seen = [set() for _ in enc.levels]
+    for _ in range(cfg.n):
+        sym = enc.push(rng.randrange(2))
+        for values, lv in zip(seen, sym.levels):
+            values.update(p.value for p in (lv.left, lv.right) if p is not BLANK)
+    for values, pair in zip(seen, enc.levels):
+        lv = pair.level
+        assert lv.c_delta > INTERN_BITS
+        assert len(lv.symbols) == lv.symbol_mask + 1 == 1 << INTERN_BITS
+        assert len(values) > sum(sym is not None for sym in lv.symbols)
+        for bad in (-1, 1 << lv.c_delta, (1 << lv.c_delta) + 3):
+            with pytest.raises(ValueError):
+                lv.symbol(bad)
+        for slot, sym in enumerate(lv.symbols):
+            assert sym is None or (type(sym) is FixedBits and sym.width == lv.c_delta
+                                   and sym.value & lv.symbol_mask == slot)
 
 
 def test_alphabet_polylog_at_default():
