@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -169,7 +170,7 @@ def hamming_distance(x: Sequence, y: Sequence) -> int:
     """Number of positions where x and y differ (symbol-level equality)."""
     if len(x) != len(y):
         raise LengthMismatchError("hamming_distance: |x|=%d != |y|=%d" % (len(x), len(y)))
-    return sum(1 for a, b in zip(x, y) if a != b)
+    return sum(map(operator.ne, x, y))
 
 
 def hamming_weight(x: Sequence, zero) -> int:

@@ -549,15 +549,19 @@ def build_code_c(
     provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)
     if provable < delta:
         raise InfeasibleCodeError("provable delta %s below target %s" % (provable, delta))
-    raw_rs = _build_rows_rs(outer, input_bits)
-    # Concatenate: re-encode each m_out-bit outer symbol through the inner code.
+    # Concatenate: each m_out-bit outer symbol of a row becomes its inner
+    # codeword, looked up (keyed by the symbol's bit string) in a table of
+    # all 2^m_out of them; n_in = 8 m_out bits is whole bytes.
+    width = n_outer * m_out
+    inner_bytes = {
+        format(v, "0%db" % m_out): inner.encode(v).to_bytes(n_in // 8, "big")
+        for v in range(1 << m_out)
+    }
     rows = []
-    for row in raw_rs:
-        out = 0
-        for j in range(n_outer):
-            sym = (row >> ((n_outer - 1 - j) * m_out)) & ((1 << m_out) - 1)
-            out = (out << n_in) | inner.encode(sym)
-        rows.append(out)
+    for row in _build_rows_rs(outer, input_bits):
+        bits = format(row, "0%db" % width)
+        rows.append(int.from_bytes(
+            b"".join([inner_bytes[bits[k:k + m_out]] for k in range(0, width, m_out)]), "big"))
     rows = _regroup_pad(rows, n_outer * n_in, s * c)
     return CodeSpecC(s, c, input_bits, provable, "concat", outer, inner, tuple(rows))
 
@@ -576,10 +580,10 @@ def _best_concat_params(input_bits: int, s: int, delta: Fraction):
         lo, hi = max(k_out, 1 << (m_out - 1)), (1 << m_out) - 1
         for n_outer in range(lo, hi + 1):
             c = math.ceil(n_outer * n_in / s)
-            provable = Fraction(
-                math.ceil((n_outer - k_out + 1) * d_in / c), s
-            )
-            if provable >= delta and (best is None or c < best[2]):
+            # provable = ceil(...)/s >= delta, compared in ints
+            provable_num = math.ceil((n_outer - k_out + 1) * d_in / c)
+            if (provable_num * delta.denominator >= delta.numerator * s
+                    and (best is None or c < best[2])):
                 best = (m_out, n_outer, c)
     return best
 

@@ -6,9 +6,11 @@ strictly increasing and with i_s >= j_s for every s -- is non-singular.
 The staircase condition includes all 1x1 minors on or below the diagonal,
 so a TNS matrix has no zero entries in its lower triangle.
 
-All arithmetic is exact over Python ints; determinants use fraction-free
-(Bareiss) elimination so minors of the Pascal matrix (magnitudes up to
-roughly 2^(n^2)) lose no precision.
+All arithmetic is exact over Python ints, so minors of the Pascal matrix
+(magnitudes up to roughly 2^(n^2)) lose no precision.  A single minor is
+computed by fraction-free (Bareiss) elimination; the exhaustive scans get
+every staircase minor from its parent's by Sylvester's determinant
+identity, one exact multiply-subtract-divide per minor.
 """
 
 from __future__ import annotations
@@ -146,13 +148,79 @@ def staircase_pair_count(n: int) -> int:
     return math.comb(2 * n + 2, n + 1) // (n + 2) - 1
 
 
-def iter_staircase_pairs(n: int) -> Iterator[MinorIndexPair]:
-    """All staircase minors in canonical order: increasing r, then lex (I, J)."""
+def _staircase_index_pairs(n: int) -> Iterator[tuple]:
     for r in range(1, n + 1):
         for I in itertools.combinations(range(n), r):
             for J in itertools.combinations(range(n), r):
                 if all(i >= j for i, j in zip(I, J)):
-                    yield MinorIndexPair(I, J)
+                    yield I, J
+
+
+def iter_staircase_pairs(n: int) -> Iterator[MinorIndexPair]:
+    """All staircase minors in canonical order: increasing r, then lex (I, J)."""
+    for I, J in _staircase_index_pairs(n):
+        yield MinorIndexPair(I, J)
+
+
+def _first_bad_minor(
+    T: Sequence, positive: bool, prev: int = 1, I: tuple = (), J: tuple = (), best=None
+) -> Optional[tuple]:
+    """The smallest staircase minor, by (r, I, J), that is zero (or, with
+    positive, not > 0), as (r, I, J); None when there is none.  Called on
+    the rows of A; the other arguments are the recursion's.
+
+    A depth-first walk over staircase prefixes (I, J).  A node of size r
+    with non-zero determinant prev keeps the table T[i][j] = det A[I+(i) |
+    J+(j)] for i > last I and last J < j <= i (the entries with j > i are
+    non-staircase minors of a lower-triangular matrix, hence zero).  Every
+    table entry is a staircase minor and is tested.  A non-zero entry p =
+    T[i0][j0] opens the child node, whose table follows from Sylvester's
+    determinant identity,
+
+        T'[i][j] = (p T[i][j] - T[i][j0] T[i0][j]) / prev,
+
+    an exact division.  A failing entry is not expanded: every minor below
+    it is larger in (r, I, J), and a minor whose proper prefixes all pass is
+    always reached, so the smallest failing minor is found.  Each table is
+    tested whole before any child opens, and no child opens once a failing
+    minor no larger than the child's minors is known.
+    """
+    i_lo = I[-1] + 1 if I else 0
+    j_lo = J[-1] + 1 if J else 0
+    n = i_lo + len(T)
+    r = len(I) + 1  # size of the minors in T
+    pivots = []
+    for i0 in range(i_lo, n):
+        Ti0 = T[i0 - i_lo]
+        for j0 in range(j_lo, i0 + 1):
+            p = Ti0[j0 - j_lo]
+            if p == 0 or (positive and p < 0):
+                found = (r, I + (i0,), J + (j0,))
+                if best is None or found < best:
+                    best = found
+            elif i0 + 1 < n:
+                pivots.append((i0, j0, p))
+    for i0, j0, p in pivots:
+        if best is not None and best[0] <= r:
+            break
+        # Columns j0+1.. of the rows below i0; T[i0][j] = 0 past j = i0.
+        Ti0 = T[i0 - i_lo]
+        k = j0 + 1 - j_lo
+        u = Ti0[k:]
+        m = k + len(u)
+        child = []
+        for Ti in T[i0 + 1 - i_lo:]:
+            c = Ti[k - 1]
+            row = [(p * a - c * b) // prev for a, b in zip(Ti[k:m], u)]
+            row += [p * a // prev for a in Ti[m:]]
+            child.append(row)
+        best = _first_bad_minor(child, positive, p, I + (i0,), J + (j0,), best)
+    return best
+
+
+def _staircase_rank(n: int, I: tuple, J: tuple) -> int:
+    """1-based position of the staircase pair (I, J) in canonical order."""
+    return next(k for k, pair in enumerate(_staircase_index_pairs(n), 1) if pair == (I, J))
 
 
 def is_totally_nonsingular(
@@ -160,20 +228,23 @@ def is_totally_nonsingular(
 ) -> TnsVerdict:
     """Exhaustively check every staircase minor of A for non-singularity.
 
-    Returns the first failing minor (in canonical order) as a witness.
-    Raises BudgetExceededError instead of returning a partial answer.
+    Returns the first failing minor (in canonical order) as a witness, with
+    minors_checked its 1-based position in that order; on success
+    minors_checked is the number of staircase minors.  Every minor is
+    computed exactly (see _first_bad_minor), not one Bareiss elimination
+    per minor.  Raises BudgetExceededError instead of returning a partial
+    answer.
     """
     count = staircase_pair_count(A.n)
     if count > budget:
         raise BudgetExceededError(
             "TNS check needs %d minors, budget is %d" % (count, budget)
         )
-    checked = 0
-    for pair in iter_staircase_pairs(A.n):
-        checked += 1
-        if minor_determinant(A, pair) == 0:
-            return TnsVerdict(False, pair, checked)
-    return TnsVerdict(True, None, checked)
+    bad = _first_bad_minor(A.rows, positive=False)
+    if bad is None:
+        return TnsVerdict(True, None, count)
+    _, I, J = bad
+    return TnsVerdict(False, MinorIndexPair(I, J), _staircase_rank(A.n, I, J))
 
 
 def all_staircase_minors_positive(A: LowerTriangularMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> bool:
@@ -183,7 +254,7 @@ def all_staircase_minors_positive(A: LowerTriangularMatrix, budget: int = DEFAUL
         raise BudgetExceededError(
             "minor scan needs %d minors, budget is %d" % (count, budget)
         )
-    return all(minor_determinant(A, pair) > 0 for pair in iter_staircase_pairs(A.n))
+    return _first_bad_minor(A.rows, positive=True) is None
 
 
 def search_tns(

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .core import BudgetExceededError, hamming_distance, split
@@ -34,57 +33,84 @@ class DistanceReport:
     space: str
 
 
-def _pair_ratios(encode: Callable, alphabet: tuple, lengths: range, lags: range):
-    """For each n in lengths and each pair x != x' in alphabet^n whose lag
-    n - split lies in lags, in enumeration order: (Hamming(enc(x),
-    enc(x')) / lag, (x, x', split, distance)).  The lag is filtered before
-    the encodings are compared."""
+def _min_pair_ratio(
+    encode: Callable, alphabet: tuple, lengths: range, lags: range, space: str
+) -> Optional[DistanceReport]:
+    """The first minimum, in enumeration order, of Hamming(enc(x), enc(x'))
+    / (n - split) over n in lengths and pairs x < x' of alphabet^n (in
+    itertools.product order) whose lag n - split lies in lags; None when no
+    pair qualifies.
+
+    With x the i-th string, the partners j > i at lag b form the index
+    range [(i // q^(b-1) + 1) q^(b-1), (i // q^b + 1) q^b), and these
+    ranges rise with b, so only the lags in lags are walked and the pair
+    order is the plain (i, j) order.  The alphabet symbols must be
+    distinct (ValueError otherwise).  Each length's encoded symbols are
+    interned into small ints, so they must be hashable (TypeError
+    otherwise); hamming_distance then compares int tuples.
+    """
+    q = len(alphabet)
+    if any(a == b for a, b in itertools.combinations(alphabet, 2)):
+        raise ValueError("alphabet symbols must be distinct: %r" % (alphabet,))
+    hamming = hamming_distance
+    best_d, best_b, best = 1, 0, None  # 1/0: the first ratio always beats it
     for n in lengths:
         strings = list(itertools.product(alphabet, repeat=n))
-        encs = [tuple(encode(s)) for s in strings]
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                sp = split(strings[i], strings[j])
-                if n - sp not in lags:
+        # Interning each encoding as it is made lets its symbols die young.
+        ids, encs = {}, []
+        for s in strings:
+            e = tuple(encode(s))
+            try:
+                encs.append(tuple([ids.setdefault(sym, len(ids)) for sym in e]))
+            except TypeError as exc:
+                raise TypeError("encoded symbols must be hashable: %s" % exc) from None
+        steps = [(b, q ** (b - 1), q**b) for b in lags if 1 <= b <= n]
+        for i, enc in enumerate(encs):
+            for b, low, high in steps:
+                lo, hi = (i // low + 1) * low, (i // high + 1) * high
+                if lo >= hi:
                     continue
-                d = hamming_distance(encs[i], encs[j])
-                yield Fraction(d, n - sp), (strings[i], strings[j], sp, d)
-
-
-def _first_minimum(ratios, space: str) -> Optional[DistanceReport]:
-    # min() keeps the first of equal minima: the witness found first.
-    best = min(ratios, key=itemgetter(0), default=None)
-    return None if best is None else DistanceReport(best[0], best[1], space)
+                ds = list(map(hamming, itertools.repeat(enc, hi - lo), encs[lo:hi]))
+                d = min(ds)
+                if d * best_b < best_d * b:
+                    best_d, best_b = d, b
+                    best = (i, lo + ds.index(d), strings)
+    if best is None:
+        return None
+    i, j, strings = best
+    return DistanceReport(
+        Fraction(best_d, best_b), (strings[i], strings[j], len(strings[i]) - best_b, best_d), space
+    )
 
 
 def tree_distance_exhaustive(
     encode: Callable, alphabet: Sequence, n_max: int, budget: int = 2_000_000
 ) -> DistanceReport:
     """Exact min over all n <= n_max and pairs x != x' in alphabet^n of
-    Hamming(enc(x), enc(x')) / (n - split)."""
+    Hamming(enc(x), enc(x')) / (n - split).
+
+    The alphabet symbols must be distinct (ValueError) and the encoded
+    symbols hashable (TypeError)."""
     alphabet = tuple(alphabet)
     q = len(alphabet)
     pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
     if pairs > budget:
         raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
     lengths = range(1, n_max + 1)
-    return _first_minimum(
-        _pair_ratios(encode, alphabet, lengths, lengths), "n<=%d over %d symbols" % (n_max, q)
-    )
+    return _min_pair_ratio(encode, alphabet, lengths, lengths, "n<=%d over %d symbols" % (n_max, q))
 
 
 def tree_distance_relaxed(
     encode: Callable, alphabet: Sequence, n: int, budget: int = 2_000_000
 ) -> DistanceReport:
-    """The relaxed distance: the same minimum restricted to length exactly n."""
+    """The relaxed distance: the same minimum restricted to length exactly n,
+    with the same requirements on the symbols."""
     alphabet = tuple(alphabet)
     q = len(alphabet)
     pairs = q**n * (q**n - 1) // 2
     if pairs > budget:
         raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-    return _first_minimum(
-        _pair_ratios(encode, alphabet, range(n, n + 1), range(1, n + 1)), "n=%d exactly" % n
-    )
+    return _min_pair_ratio(encode, alphabet, range(n, n + 1), range(1, n + 1), "n=%d exactly" % n)
 
 
 def weight_distance_linear(
@@ -123,8 +149,10 @@ def lagged_distance(
 ) -> DistanceReport:
     """Min of Hamming/b over pairs whose lag b = n - split lies in [ell, L].
 
-    Sampled mode reports the minimum over random qualifying pairs, an
-    upper bound on the true minimum (falsification only).
+    Exhaustive mode needs distinct alphabet symbols (ValueError) and
+    hashable encoded symbols (TypeError).  Sampled mode reports the minimum
+    over random qualifying pairs, an upper bound on the true minimum
+    (falsification only).
     """
     alphabet = tuple(alphabet)
     if n_max < ell:
@@ -134,9 +162,8 @@ def lagged_distance(
         pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
         if pairs > budget:
             raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-        best = _first_minimum(
-            _pair_ratios(encode, alphabet, range(ell, n_max + 1), range(ell, L + 1)),
-            "lag in [%d,%d]" % (ell, L),
+        best = _min_pair_ratio(
+            encode, alphabet, range(ell, n_max + 1), range(ell, L + 1), "lag in [%d,%d]" % (ell, L)
         )
         if best is None:
             raise ValueError("no pair with lag in [%d, %d] found" % (ell, L))

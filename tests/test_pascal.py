@@ -9,6 +9,8 @@ from treecodes.core import BudgetExceededError
 from treecodes.pascal import (
     LowerTriangularMatrix,
     MinorIndexPair,
+    TnsVerdict,
+    all_staircase_minors_positive,
     bareiss_determinant,
     binomial,
     is_totally_nonsingular,
@@ -121,3 +123,57 @@ def test_search_tns_seeded():
 
 def test_search_tns_bound_zero():
     assert search_tns(2, 0) is None
+
+
+def _reference_scan(A):
+    # The per-minor canonical scan the Sylvester-identity kernel replaced,
+    # kept as the reference: one Bareiss elimination per staircase minor.
+    # Returns the TNS verdict and the strict positivity of every minor.
+    positive = True
+    for checked, pair in enumerate(iter_staircase_pairs(A.n), 1):
+        det = minor_determinant(A, pair)
+        positive = positive and det > 0
+        if det == 0:
+            return TnsVerdict(False, pair, checked), False
+    return TnsVerdict(True, None, staircase_pair_count(A.n)), positive
+
+
+def _reference_cases():
+    rng = random.Random(17)
+    mats = [pascal_matrix(n) for n in range(10)] + [LowerTriangularMatrix.identity(6)]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        bound = rng.choice((1, 2, 3))
+        mats.append(LowerTriangularMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(i + 1)] for i in range(n)]))
+    # Entries in {1, 2} are never zero: failures come from larger minors.
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        mats.append(LowerTriangularMatrix.from_rows(
+            [[rng.choice((1, 2)) for _ in range(i + 1)] for i in range(n)]))
+    return mats
+
+
+def test_tns_kernel_matches_per_minor_reference():
+    failing = 0
+    for A in _reference_cases():
+        want, positive = _reference_scan(A)
+        assert is_totally_nonsingular(A) == want, A.rows
+        assert all_staircase_minors_positive(A) == positive, A.rows
+        failing += not want.ok
+    assert failing > 200
+
+
+def test_tns_witness_is_smallest_failing_minor():
+    # A also has the zero 3x3 minor I=(2,3,4), J=(0,2,3); the witness is
+    # the smallest zero minor in (r, I, J), at position 34 in canonical order.
+    A = LowerTriangularMatrix.from_rows([[2], [-1, 2], [3, 1, 2], [3, 2, 1, 3], [-1, 2, -1, 1, -1]])
+    assert minor_determinant(A, MinorIndexPair((2, 3, 4), (0, 2, 3))) == 0
+    v = is_totally_nonsingular(A)
+    assert v == TnsVerdict(False, MinorIndexPair((1, 4), (0, 1)), 34)
+    assert v == _reference_scan(A)[0]
+
+
+def test_positive_scan_budget_guard():
+    with pytest.raises(BudgetExceededError):
+        all_staircase_minors_positive(pascal_matrix(20), budget=10)

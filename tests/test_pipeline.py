@@ -284,8 +284,8 @@ def test_alphabet_at_raises_from_an_infeasible_level_only():
 
 def test_interned_level_symbols_stay_bounded():
     # n=586 keeps the concat stream below the s=588 level, whose code takes
-    # seconds to build; its levels still see more symbols than the table
-    # holds, so slots are overwritten.
+    # about a second to build; its levels still see more symbols than the
+    # table holds, so slots are overwritten.
     cfg = PipelineConfig(n=586, recipe="concat")
     enc = PipelineEncoder(cfg)
     rng = random.Random(17)

@@ -1,17 +1,20 @@
 """Tests for the distance oracles, bounds and the Toeplitz baseline."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
-from treecodes.core import BudgetExceededError
+from treecodes.core import BudgetExceededError, hamming_distance, split
 from treecodes.ecc import build_code_c
 from treecodes.lagged import LaggedParams, StreamEncoderTruncatedLagged, encode_truncated_lagged
-from treecodes.linearcode import encode_tc_a
+from treecodes.linearcode import encode_int_treecode, encode_tc_a
 from treecodes.pascal import LowerTriangularMatrix, pascal_matrix
 from treecodes.verify import (
+    DistanceReport,
     SmallField,
     SUPPORTED_FIELD_SIZES,
     ToeplitzCode,
@@ -187,3 +190,78 @@ def test_split0_bound_check_prunes():
     tight = verify_split0_lagged_bound(mk, 8, 4, brute_force_split0_min(mk, 8))
     assert loose.ok and tight.ok
     assert loose.nodes <= tight.nodes
+
+
+def _reference_pair_ratios(encode, alphabet, lengths, lags):
+    # The pair walk the index-range scan replaced, kept as the reference:
+    # every pair in (i, j) order, its split computed and its lag filtered,
+    # one Fraction per compared pair.
+    for n in lengths:
+        strings = list(itertools.product(alphabet, repeat=n))
+        encs = [tuple(encode(s)) for s in strings]
+        for i in range(len(strings)):
+            for j in range(i + 1, len(strings)):
+                sp = split(strings[i], strings[j])
+                if n - sp not in lags:
+                    continue
+                d = hamming_distance(encs[i], encs[j])
+                yield Fraction(d, n - sp), (strings[i], strings[j], sp, d)
+
+
+def _reference_minimum(ratios, space):
+    best = min(ratios, key=itemgetter(0), default=None)
+    return None if best is None else DistanceReport(best[0], best[1], space)
+
+
+_REFERENCE_ENCODERS = {
+    "identity": lambda x: x,
+    "pascal-tc-a": lambda x: encode_tc_a(pascal_matrix(4), x),
+    "int-treecode": lambda x: encode_int_treecode(list(x)),
+    # Not online: a later symbol changes earlier outputs.
+    "sorted": lambda x: tuple(sorted(x)),
+    "suffix-sums": lambda x: tuple(sum(x[i:]) % 3 for i in range(len(x))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ENCODERS))
+def test_tree_distances_match_pair_walk_reference(name):
+    encode = _REFERENCE_ENCODERS[name]
+    for alphabet in ((0, 1), (0, 1, 2), (2, 0, 1)):
+        q = len(alphabet)
+        for n in range(1, 5):
+            lengths = range(1, n + 1)
+            assert tree_distance_exhaustive(encode, alphabet, n) == _reference_minimum(
+                _reference_pair_ratios(encode, alphabet, lengths, lengths),
+                "n<=%d over %d symbols" % (n, q)), (alphabet, n)
+            assert tree_distance_relaxed(encode, alphabet, n) == _reference_minimum(
+                _reference_pair_ratios(encode, alphabet, range(n, n + 1), lengths),
+                "n=%d exactly" % n), (alphabet, n)
+
+
+def test_lagged_distance_matches_pair_walk_reference():
+    spec = build_code_c(4, Fraction(1, 4), "rs")
+    for a, ell, L, n_max in ((2, 4, 8, 8), (2, 1, 3, 6), (3, 3, 6, 7)):
+        params = LaggedParams(4, a * 4, spec)
+        enc = lambda bits: encode_truncated_lagged(params, bits)
+        for alphabet in ((0, 1), (1, 0)):
+            want = _reference_minimum(
+                _reference_pair_ratios(enc, alphabet, range(ell, n_max + 1), range(ell, L + 1)),
+                "lag in [%d,%d]" % (ell, L))
+            assert lagged_distance(enc, ell, L, alphabet, n_max) == want, (a, ell, L, alphabet)
+
+
+def test_exhaustive_distances_reject_repeated_symbols():
+    for call in (
+        lambda: tree_distance_exhaustive(lambda x: x, (0, 1, 0), 2),
+        lambda: tree_distance_relaxed(lambda x: x, (0, 1, 1), 2),
+        lambda: lagged_distance(lambda x: x, 1, 2, (1, 1), 2),
+    ):
+        with pytest.raises(ValueError, match="distinct"):
+            call()
+
+
+def test_exhaustive_distances_need_hashable_symbols():
+    with pytest.raises(TypeError, match="hashable"):
+        tree_distance_exhaustive(lambda x: [[v] for v in x], (0, 1), 2)
+    with pytest.raises(TypeError, match="hashable"):
+        lagged_distance(lambda x: [[v] for v in x], 1, 2, (0, 1), 2)
