@@ -22,9 +22,7 @@ from .ecc import (
     InnerCode,
     RSParams,
     build_code_c,
-    cached_inner_code,
     find_inner_code,
-    rs_encode,
     s_delta,
 )
 from .lagged import (

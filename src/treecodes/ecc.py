@@ -22,7 +22,6 @@ the field elements 0, 1, 2, ... in their integer representation.
 from __future__ import annotations
 
 import math
-import os
 import random
 import struct
 from dataclasses import dataclass
@@ -116,35 +115,6 @@ class RSParams:
         return self.n_code - self.k_msg + 1
 
 
-def rs_encode(params: RSParams, msg: Sequence[int]) -> Tuple[int, ...]:
-    """Evaluate the polynomial with coefficients msg (constant term first)."""
-    if len(msg) != params.k_msg:
-        raise ValueError("message must have %d symbols" % params.k_msg)
-    m = params.m
-    out = []
-    for point in range(params.n_code):
-        # Horner evaluation at the field element `point`.
-        acc = 0
-        for c in reversed(msg):
-            acc = gf_mul_int(m, acc, point) ^ c
-        out.append(acc)
-    return tuple(out)
-
-
-def rs_min_distance_exhaustive(params: RSParams) -> int:
-    """Exact minimum distance by scanning all non-zero messages (linearity)."""
-    best = params.n_code
-    for idx in range(1, (1 << params.m) ** params.k_msg):
-        msg = []
-        v = idx
-        for _ in range(params.k_msg):
-            msg.append(v % (1 << params.m))
-            v //= 1 << params.m
-        w = sum(1 for c in rs_encode(params, msg) if c)
-        best = min(best, w)
-    return best
-
-
 @dataclass(frozen=True)
 class InnerCode:
     """A binary linear code with an exhaustively verified minimum distance."""
@@ -213,50 +183,6 @@ def _h2(x: float) -> float:
     if x <= 0 or x >= 1:
         return 0.0
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def save_inner_code(code: InnerCode, path: str) -> None:
-    """Write the cache format: header line, then hex generator rows."""
-    ndig = max(1, (code.n_in + 3) // 4)
-    with open(path, "w") as fh:
-        fh.write(
-            "%d %d %s %d %d\n"
-            % (code.m_in, code.n_in, repr(code.delta_in), code.seed, code.verified_distance)
-        )
-        for row in code.generator:
-            fh.write(format(row, "0%dx" % ndig) + "\n")
-
-
-def load_inner_code(path: str) -> InnerCode:
-    """Read the cache format and re-verify the stored distance exhaustively."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        m_in, n_in = int(head[0]), int(head[1])
-        delta_in, seed, stored = float(head[2]), int(head[3]), int(head[4])
-        rows = tuple(int(fh.readline().strip(), 16) for _ in range(m_in))
-    code = InnerCode(m_in, n_in, delta_in, seed, rows, stored)
-    if _exhaustive_min_weight(rows, m_in) != stored:
-        raise ValueError("cached distance does not re-verify: %s" % path)
-    return code
-
-
-def cached_inner_code(
-    m_in: int, n_in: int, delta_in: float, seed: int, cache_dir: Optional[str] = None
-) -> InnerCode:
-    """find_inner_code with a disk cache keyed by (m_in, n_in, delta_in, seed)."""
-    if cache_dir is None:
-        return find_inner_code(m_in, n_in, delta_in, seed)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, "inner_%d_%d_%s_%d.txt" % (m_in, n_in, repr(delta_in), seed)
-    )
-    if os.path.exists(path):
-        code = load_inner_code(path)
-        if (code.m_in, code.n_in, code.delta_in, code.seed) == (m_in, n_in, delta_in, seed):
-            return code
-    code = find_inner_code(m_in, n_in, delta_in, seed)
-    save_inner_code(code, path)
-    return code
 
 
 @dataclass(frozen=True)
@@ -501,7 +427,6 @@ def build_code_c(
     recipe: str = "concat",
     seed: int = 0,
     input_bits: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> CodeSpecC:
     """Construct the block code for width-s symbols at target distance delta.
 
@@ -543,7 +468,7 @@ def build_code_c(
         )
     m_out, n_outer, _ = choice
     n_in = INNER_EXPANSION * m_out
-    inner = cached_inner_code(m_out, n_in, INNER_DELTA, seed, cache_dir)
+    inner = find_inner_code(m_out, n_in, INNER_DELTA, seed)
     outer = RSParams(m_out, math.ceil(input_bits / m_out), n_outer)
     c = math.ceil(n_outer * n_in / s)
     provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)

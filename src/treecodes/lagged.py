@@ -13,9 +13,11 @@ position carries a pair of short symbols -- one from each of the two
 overlapping instances (blank where an instance has not yet emitted).
 
 Both forms run on one raw-int core: `LevelCore` holds what the instances
-of one code share, `TruncatedCore` is one instance and `UntruncatedCore`
-the overlapping pair.  The pipeline drives the core directly; the stream
-encoders here only wrap its ints into BLANK, FixedBits and LaggedSymbol.
+of one code share, and `UntruncatedCore` is the state of one level: the
+two overlapping instances, which share one block accumulator.  The
+truncated encoder is the same core with instance period s^2.  The pipeline
+drives the core directly; the stream encoders here only wrap its ints into
+BLANK, FixedBits and LaggedSymbol.
 """
 
 from __future__ import annotations
@@ -135,81 +137,74 @@ class LevelCore:
         return sym
 
 
-class TruncatedCore:
-    """One truncated lagged instance on raw ints.
+class UntruncatedCore:
+    """One lagged level on raw ints: two overlapping instances that share
+    one block accumulator.
 
-    Bits accumulate into an s-bit block value; each completed block is
-    packed (Pascal kernel, or the boosted packing) and its codeword spread
-    over the next s positions.  push returns the position's symbol as an
-    int, or None before the first completed block.  The s^2-bit capacity is
-    the caller's to enforce.
+    Instance j starts at position j*period + 1 and lives for 2*period
+    positions (one instance covers the string start).  The period h = s^2/2
+    is a multiple of s, so both instances complete their blocks at the same
+    positions from the same s bits: `cur`/`cnt` serve both, and an instance
+    keeps only its Pascal state and codeword (diffs None: no instance yet).
+    A completed block is packed into each live instance and its codeword
+    spread over the next s positions.  push returns (older, newer), each an
+    int, or None before the instance's first completed block.  The truncated
+    encoder uses period s^2, so within its s^2 bits only `newer` exists.
     """
 
-    __slots__ = ("level", "cur", "cnt", "diffs", "codeword")
+    __slots__ = ("level", "period", "pos", "cur", "cnt",
+                 "old_diffs", "old_word", "new_diffs", "new_word")
 
-    def __init__(self, level: LevelCore):
+    def __init__(self, level: LevelCore, period: Optional[int] = None):
         self.level = level
+        self.period = level.h if period is None else period
+        self.pos = 0
         self.cur = 0
         self.cnt = 0
-        self.diffs: List[int] = []
-        self.codeword: Optional[Tuple[int, ...]] = None
+        self.old_diffs: Optional[List[int]] = None
+        self.old_word: Optional[Tuple[int, ...]] = None
+        self.new_diffs: Optional[List[int]] = None
+        self.new_word: Optional[Tuple[int, ...]] = None
 
-    def push(self, bit: int) -> Optional[int]:
+    def push(self, bit: int) -> Tuple[Optional[int], Optional[int]]:
+        pos = self.pos + 1
+        self.pos = pos
+        if pos % self.period == 1:
+            # Instance j starts as `newer`, j-1 moves to `older` and j-2
+            # retires after its 2*period bits.  A block just completed.
+            self.old_diffs = self.new_diffs
+            self.old_word = self.new_word
+            self.new_diffs = []
+            self.new_word = None
         cur = (self.cur << 1) | bit
         cnt = self.cnt + 1
         lv = self.level
         if cnt == lv.s:
-            self.diffs, packed = lv.packer.pack(self.diffs, cur)
-            self.codeword = lv.code().symbols_for(packed)
+            pack = lv.packer.pack
+            symbols_for = lv.code().symbols_for
+            if self.old_diffs is not None:
+                self.old_diffs, packed = pack(self.old_diffs, cur)
+                self.old_word = symbols_for(packed)
+            self.new_diffs, packed = pack(self.new_diffs, cur)
+            self.new_word = symbols_for(packed)
             cur = cnt = 0
         self.cur = cur
         self.cnt = cnt
-        codeword = self.codeword
-        return None if codeword is None else codeword[cnt]
-
-    def clone(self) -> "TruncatedCore":
-        other = TruncatedCore.__new__(TruncatedCore)
-        other.level = self.level
-        other.cur = self.cur
-        other.cnt = self.cnt
-        other.diffs = self.diffs
-        other.codeword = self.codeword
-        return other
-
-
-class UntruncatedCore:
-    """The untruncated lagged code on raw ints.
-
-    A fresh TruncatedCore starts at position j*h + 1 and lives for 2h
-    positions, so every position is covered by two instances (one at the
-    string start).  push returns (older, newer): each an int, or None.
-    """
-
-    __slots__ = ("level", "pos", "older", "newer")
-
-    def __init__(self, level: LevelCore):
-        self.level = level
-        self.pos = 0
-        self.older: Optional[TruncatedCore] = None
-        self.newer: Optional[TruncatedCore] = None
-
-    def push(self, bit: int) -> Tuple[Optional[int], Optional[int]]:
-        self.pos += 1
-        if self.pos % self.level.h == 1:
-            # Position j*h + 1: instance j spawns as `newer`, instance j-1
-            # moves to `older`, instance j-2 retires having consumed exactly
-            # its 2h = s^2 bits (its last bit was position j*h).
-            self.older = self.newer
-            self.newer = TruncatedCore(self.level)
-        older = self.older
-        return (None if older is None else older.push(bit), self.newer.push(bit))
+        old = self.old_word
+        new = self.new_word
+        return (None if old is None else old[cnt], None if new is None else new[cnt])
 
     def clone(self) -> "UntruncatedCore":
         other = UntruncatedCore.__new__(UntruncatedCore)
         other.level = self.level
+        other.period = self.period
         other.pos = self.pos
-        other.older = None if self.older is None else self.older.clone()
-        other.newer = None if self.newer is None else self.newer.clone()
+        other.cur = self.cur
+        other.cnt = self.cnt
+        other.old_diffs = self.old_diffs
+        other.old_word = self.old_word
+        other.new_diffs = self.new_diffs
+        other.new_word = self.new_word
         return other
 
 
@@ -218,22 +213,19 @@ class StreamEncoderTruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.core = TruncatedCore(LevelCore.from_params(params))
-        self.pos = 0
+        self.core = UntruncatedCore(LevelCore.from_params(params), params.s ** 2)
 
     def push(self, bit: int):
-        s = self.params.s
-        if self.pos >= s * s:
-            raise ValueError("truncated encoder accepts at most %d bits" % (s * s))
-        self.pos += 1
-        v = self.core.push(bit)
-        return BLANK if v is None else self.core.level.symbol(v)
+        core = self.core
+        if core.pos >= core.period:
+            raise ValueError("truncated encoder accepts at most %d bits" % core.period)
+        v = core.push(bit)[1]
+        return BLANK if v is None else core.level.symbol(v)
 
     def clone(self) -> "StreamEncoderTruncatedLagged":
         other = StreamEncoderTruncatedLagged.__new__(StreamEncoderTruncatedLagged)
         other.params = self.params
         other.core = self.core.clone()
-        other.pos = self.pos
         return other
 
 

@@ -366,3 +366,46 @@ def test_criterion_12_online_everywhere():
     report(12, not failures,
            "1000 prefix-determinism checks per encoder class (8 classes); "
            + ("failures: " + ", ".join(failures) if failures else "0 failures"))
+
+
+def test_criterion_13_per_level_single_flip_distance():
+    # The per-level lagged lemma: for a lag b in [ell_g, s_g^2/2], level g's
+    # component alone differs on at least delta*(1/2 - 3/(2a)) of the b
+    # positions after a divergence.  Each pair flips one bit and then shares
+    # its suffix, so every difference after the block holding the flip comes
+    # from the Pascal mixing across blocks (random suffixes, as in criterion
+    # 8, differ in the window almost everywhere and cannot see it).
+    n = 1 << 14
+    cfg = PipelineConfig(n=n)
+    bound = cfg.declared_distance()
+    rng = random.Random(1313)
+    pairs = []
+    for lv in build_schedule(n).levels[:4]:
+        for _ in range(6):
+            b = rng.randint(lv.ell, min(lv.cover_hi, 3000))
+            pairs.append((rng.randint(0, n - b), b, lv.g))
+    pairs.sort()
+    base = PipelineEncoder(cfg)
+    pos = 0
+    worst = {}
+    for sp, b, g in pairs:
+        for _ in range(sp - pos):
+            base.push_raw(rng.randrange(2))
+        pos = sp
+        e1, e2 = base.clone(), base.clone()
+        bits = [rng.randrange(2) for _ in range(b)]
+        d = 0
+        for i, bit in enumerate(bits):
+            # Level g's (left, right) pair; () while the level is inactive.
+            r1 = e1.push_raw(bit)[2][g - 1:g]
+            r2 = e2.push_raw(1 - bit if i == 0 else bit)[2][g - 1:g]
+            if r1 != r2:
+                d += 1
+        val = Fraction(d, b)
+        if g not in worst or val < worst[g]:
+            worst[g] = val
+    ok = all(v >= bound for v in worst.values())
+    report(13, ok,
+           "single-flip pairs with a shared suffix, 6 per level at n=2^14: worst "
+           "level-only ratio %s against %s"
+           % (", ".join("L%d %.3f" % (g, float(v)) for g, v in sorted(worst.items())), bound))

@@ -16,15 +16,10 @@ from treecodes.ecc import (
     InfeasibleCodeError,
     RSParams,
     build_code_c,
-    cached_inner_code,
     canonical_modulus,
     find_inner_code,
     gf_mul_int,
-    load_inner_code,
-    rs_encode,
-    rs_min_distance_exhaustive,
     s_delta,
-    save_inner_code,
 )
 from treecodes.ecc import _build_rows_rs
 
@@ -67,6 +62,36 @@ def test_gf_mul_int_matches_known_aes_products():
     assert gf_mul_int(8, 0x02, 0x80) == 0x1B
 
 
+def rs_encode(params, msg):
+    """Evaluate the polynomial with coefficients msg (constant term first):
+    the scalar RS reference, used only by these tests."""
+    if len(msg) != params.k_msg:
+        raise ValueError("message must have %d symbols" % params.k_msg)
+    m = params.m
+    out = []
+    for point in range(params.n_code):
+        # Horner evaluation at the field element `point`.
+        acc = 0
+        for c in reversed(msg):
+            acc = gf_mul_int(m, acc, point) ^ c
+        out.append(acc)
+    return tuple(out)
+
+
+def rs_min_distance_exhaustive(params):
+    """Exact minimum distance by scanning all non-zero messages (linearity)."""
+    best = params.n_code
+    for idx in range(1, (1 << params.m) ** params.k_msg):
+        msg = []
+        v = idx
+        for _ in range(params.k_msg):
+            msg.append(v % (1 << params.m))
+            v //= 1 << params.m
+        w = sum(1 for c in rs_encode(params, msg) if c)
+        best = min(best, w)
+    return best
+
+
 def test_rs_distance_is_mds_small():
     params = RSParams(3, 3, 6)
     assert params.distance == 4
@@ -99,23 +124,6 @@ def test_inner_code_found_and_verified():
 def test_inner_code_singleton_infeasible():
     with pytest.raises(InfeasibleCodeError):
         find_inner_code(8, 9, 0.9, seed=0)
-
-
-def test_inner_code_cache_roundtrip(tmp_path):
-    code = cached_inner_code(4, 32, 0.3, 1, cache_dir=str(tmp_path))
-    again = cached_inner_code(4, 32, 0.3, 1, cache_dir=str(tmp_path))
-    assert code == again
-    path = tmp_path / "direct.txt"
-    save_inner_code(code, str(path))
-    loaded = load_inner_code(str(path))
-    assert loaded == code
-    # Corrupt the stored distance: load must refuse.
-    text = path.read_text().splitlines()
-    head = text[0].split()
-    head[4] = str(int(head[4]) + 1)
-    path.write_text(" ".join(head) + "\n" + "\n".join(text[1:]) + "\n")
-    with pytest.raises(ValueError):
-        load_inner_code(str(path))
 
 
 def test_build_code_c_rs_properties():

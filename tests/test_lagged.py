@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 from treecodes.core import BLANK, FixedBits
-from treecodes.ecc import build_code_c
+from treecodes.ecc import CodeSpecC, build_code_c
 from treecodes.lagged import (
     LaggedParams,
     LaggedSymbol,
+    LevelCore,
     StreamEncoderTruncatedLagged,
     StreamEncoderUntruncatedLagged,
+    UntruncatedCore,
     encode_truncated_lagged,
     encode_untruncated_lagged,
 )
 from treecodes.linearcode import BoostParams
 from treecodes.packing import BoostedPackedParams
+from treecodes.pipeline import PipelineConfig, _level_core
 
 
 def toy_params(s=4, a=2):
@@ -140,3 +143,119 @@ def test_boosted_lagged_roundtrip():
     assert p.distance_bound() == spec.provable_delta * (
         Fraction(1, 2) - Fraction(3, 4)
     )
+
+
+class RefTruncatedCore:
+    """Reference: one truncated instance with its own block accumulator,
+    as the lagged core kept it per instance before the two instances of a
+    level shared one."""
+
+    def __init__(self, level):
+        self.level = level
+        self.cur = 0
+        self.cnt = 0
+        self.diffs = []
+        self.codeword = None
+
+    def push(self, bit):
+        cur = (self.cur << 1) | bit
+        cnt = self.cnt + 1
+        lv = self.level
+        if cnt == lv.s:
+            self.diffs, packed = lv.packer.pack(self.diffs, cur)
+            self.codeword = lv.code().symbols_for(packed)
+            cur = cnt = 0
+        self.cur = cur
+        self.cnt = cnt
+        return None if self.codeword is None else self.codeword[cnt]
+
+    def clone(self):
+        other = RefTruncatedCore(self.level)
+        other.cur, other.cnt = self.cur, self.cnt
+        other.diffs, other.codeword = self.diffs, self.codeword
+        return other
+
+
+class RefUntruncatedCore:
+    """Reference: a fresh RefTruncatedCore every h positions."""
+
+    def __init__(self, level):
+        self.level = level
+        self.pos = 0
+        self.older = None
+        self.newer = None
+
+    def push(self, bit):
+        self.pos += 1
+        if self.pos % self.level.h == 1:
+            self.older = self.newer
+            self.newer = RefTruncatedCore(self.level)
+        older = self.older
+        return (None if older is None else older.push(bit), self.newer.push(bit))
+
+    def clone(self):
+        other = RefUntruncatedCore(self.level)
+        other.pos = self.pos
+        other.older = None if self.older is None else self.older.clone()
+        other.newer = None if self.newer is None else self.newer.clone()
+        return other
+
+
+def assert_core_matches_reference(level, nbits, seed):
+    """Drive the level core and the per-instance reference with the same
+    random bits; at the middle, clone both and push a different tail to
+    the clones than to the originals."""
+    rng = random.Random(seed)
+    core, ref = UntruncatedCore(level), RefUntruncatedCore(level)
+    mid = nbits // 2
+    for i, b in enumerate(random_bits(rng, mid)):
+        assert core.push(b) == ref.push(b), i + 1
+    core2, ref2 = core.clone(), ref.clone()
+    tail = zip(random_bits(rng, nbits - mid), random_bits(rng, nbits - mid))
+    for i, (b, c) in enumerate(tail, mid + 1):
+        assert core.push(b) == ref.push(b), i
+        assert core2.push(c) == ref2.push(c), i
+
+
+def random_bits(rng, n):
+    return [int(c) for c in format(rng.getrandbits(n), "0%db" % n)]
+
+
+@pytest.mark.parametrize("s", [4, 6])
+def test_level_core_matches_per_instance_reference_toy(s):
+    # Five instance periods: four rollovers, three of which retire an instance.
+    level = LevelCore.from_params(toy_params(s))
+    assert_core_matches_reference(level, 5 * level.h, seed=s)
+
+
+@pytest.mark.parametrize("s", [16, 20, 32, 84])
+def test_level_core_matches_per_instance_reference_pipeline(s):
+    level = _level_core(PipelineConfig(n=2**14), s)
+    assert_core_matches_reference(level, 5 * level.h, seed=s)
+
+
+def test_level_core_matches_per_instance_reference_s588():
+    # The default pipeline's top level never rolls over within n = 2^14, so
+    # the golden digests cannot cover its rollover: drive the core directly
+    # past both (positions h + 1 and s^2 + 1), two blocks beyond the second.
+    s = 588
+    level = _level_core(PipelineConfig(n=2**14), s)
+    assert_core_matches_reference(level, s * s + 2 * s, seed=588)
+
+
+@pytest.mark.parametrize("s", [4, 16])
+def test_truncated_encoder_packs_one_instance(s, monkeypatch):
+    # Over its s^2 bits the truncated encoder completes s blocks and encodes
+    # each once: there is no second instance to feed.
+    calls = []
+    symbols_for = CodeSpecC.symbols_for
+
+    def counted(self, value):
+        calls.append(value)
+        return symbols_for(self, value)
+
+    monkeypatch.setattr(CodeSpecC, "symbols_for", counted)
+    p = LaggedParams(s, 2 * s, build_code_c(s, Fraction(1, 4), "rs"))
+    rng = random.Random(s)
+    encode_truncated_lagged(p, [rng.randrange(2) for _ in range(s * s)])
+    assert len(calls) == s
