@@ -26,7 +26,9 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import xor
 from typing import List, Optional, Sequence, Tuple
 
 MAX_FIELD_DEGREE = 24
@@ -34,6 +36,7 @@ INNER_EXPANSION = 8  # inner codeword bits per message bit
 INNER_DELTA = 0.3  # inner relative distance target of the concatenated recipe
 INNER_ATTEMPTS = 10_000
 MEMO_MAX_INPUT_BITS = 17  # widest input of a code whose codewords are memoized
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class InfeasibleCodeError(ValueError):
@@ -90,11 +93,6 @@ def canonical_modulus(m: int) -> int:
         if _is_irreducible(f, m):
             return f
     raise AssertionError("no irreducible polynomial of degree %d" % m)
-
-
-def gf_mul_int(m: int, a: int, b: int) -> int:
-    """Field multiplication on raw int representations (hot-path form)."""
-    return _poly_mulmod(a, b, canonical_modulus(m), m)
 
 
 @dataclass(frozen=True)
@@ -294,19 +292,15 @@ class CodeSpecC:
                 x >>= 8
                 k += 1
             return out
-        out = 0
-        rows = self.generator_rows
-        w = self.input_bits
-        while x:
-            b = x.bit_length() - 1
-            out ^= rows[w - 1 - b]
-            x ^= 1 << b
-        return out
+        # Wide inputs: the rows that x's bits select, most significant bit
+        # first (row i is bit input_bits-1-i), XORed in one C-level pass.
+        bits = format(x, "0%db" % self.input_bits).encode().translate(_BIT_BYTES)
+        return reduce(xor, compress(self.generator_rows, bits), 0)
 
     def _build_byte_tables(self):
         # Per-byte lookup tables make encode_int ~8x fewer loop iterations.
-        # Skipped for very wide inputs where the tables would be large and
-        # block completions are rare anyway.
+        # Skipped for very wide inputs, where the tables would be large,
+        # block completions are rare and the row-selecting pass is faster.
         rows = self.generator_rows
         w = self.input_bits
         if w > 1024:

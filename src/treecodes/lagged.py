@@ -16,8 +16,9 @@ Both forms run on one raw-int core: `LevelCore` holds what the instances
 of one code share, and `UntruncatedCore` is the state of one level: the
 two overlapping instances, which share one block accumulator.  The
 truncated encoder is the same core with instance period s^2.  The pipeline
-drives the core directly; the stream encoders here only wrap its ints into
-BLANK, FixedBits and LaggedSymbol.
+drives the core through `complete`/`roll` at its events; the stream encoders
+here push bit by bit and only wrap its ints into BLANK, FixedBits and
+LaggedSymbol.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ class UntruncatedCore:
     spread over the next s positions.  push returns (older, newer), each an
     int, or None before the instance's first completed block.  The truncated
     encoder uses period s^2, so within its s^2 bits only `newer` exists.
+
+    push is the per-bit driver: it calls roll at each instance start and
+    complete at each block end.  A caller that keeps the input bits itself
+    (the pipeline) calls those two at their positions instead and reads the
+    words directly; push's own `pos`/`cur`/`cnt` then stay 0.
     """
 
     __slots__ = ("level", "period", "pos", "cur", "cnt",
@@ -170,29 +176,38 @@ class UntruncatedCore:
         pos = self.pos + 1
         self.pos = pos
         if pos % self.period == 1:
-            # Instance j starts as `newer`, j-1 moves to `older` and j-2
-            # retires after its 2*period bits.  A block just completed.
-            self.old_diffs = self.new_diffs
-            self.old_word = self.new_word
-            self.new_diffs = []
-            self.new_word = None
+            self.roll()
         cur = (self.cur << 1) | bit
         cnt = self.cnt + 1
-        lv = self.level
-        if cnt == lv.s:
-            pack = lv.packer.pack
-            symbols_for = lv.code().symbols_for
-            if self.old_diffs is not None:
-                self.old_diffs, packed = pack(self.old_diffs, cur)
-                self.old_word = symbols_for(packed)
-            self.new_diffs, packed = pack(self.new_diffs, cur)
-            self.new_word = symbols_for(packed)
+        if cnt == self.level.s:
+            self.complete(cur)
             cur = cnt = 0
         self.cur = cur
         self.cnt = cnt
         old = self.old_word
         new = self.new_word
         return (None if old is None else old[cnt], None if new is None else new[cnt])
+
+    def roll(self) -> None:
+        """Position j*period + 1: instance j starts as `newer`, j-1 moves to
+        `older` and j-2 retires after its 2*period bits.  A block just
+        completed, so no block is under way."""
+        self.old_diffs = self.new_diffs
+        self.old_word = self.new_word
+        self.new_diffs = []
+        self.new_word = None
+
+    def complete(self, block: int) -> None:
+        """A block of s bits (first bit most significant) completed: pack it
+        into each live instance, older first, and encode its codeword."""
+        lv = self.level
+        pack = lv.packer.pack
+        symbols_for = lv.code().symbols_for
+        if self.old_diffs is not None:
+            self.old_diffs, packed = pack(self.old_diffs, block)
+            self.old_word = symbols_for(packed)
+        self.new_diffs, packed = pack(self.new_diffs, block)
+        self.new_word = symbols_for(packed)
 
     def clone(self) -> "UntruncatedCore":
         other = UntruncatedCore.__new__(UntruncatedCore)

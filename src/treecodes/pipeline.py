@@ -17,6 +17,12 @@ Per-position alphabet accounting is exact: window bits plus, per active
 level, the two component widths with structurally-blank components (left
 before the second instance window, right inside a block prefix) counted
 as blank.
+
+The encoder works one span at a time.  An event is a position where some
+level completes a block (a multiple of its s) or starts an instance (one
+past a multiple of its h = s^2/2); between two events every level emits
+fixed codewords at a moving index, so the levels are touched only at
+events and each push in between reads a ready-made level tuple.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from .core import AlphabetDescriptor, FixedBits, SymbolTuple
@@ -197,33 +204,84 @@ class PipelineEncoder:
     window value, per-active-level (left, right) ints-or-None), which is
     the representation used by the large-scale distance experiments;
     push wraps it into a FinalSymbol.
+
+    The levels move only at events: positions where some level completes a
+    block (pos = 0 mod s) or starts an instance (pos = 1 mod h).  Between
+    two events every level's (older, newer) codewords are fixed and only
+    the index into them moves, so at each event `_event` advances the
+    levels concerned (UntruncatedCore.complete / roll) and builds `span`,
+    the level tuples of positions span_start .. next_event - 1.  A push in
+    between updates the window and pos and indexes the span.
+
+    Level 1's block ends are events, so a span is at most s_min positions,
+    fewer than the window holds: the bits since the last event are the
+    window's low bits.  `hist` holds the input up to span_start, masked to
+    the top level's s, and takes those bits in at the next event.  Clones
+    share span and hist, which are replaced at events, never mutated.
     """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.schedule = _config_schedule(config)
         self.levels = [UntruncatedCore(_level_core(config, lv.s)) for lv in self.schedule.levels]
+        self.n = config.n
+        self.wbits = config.window_bits
+        self.wmask = (1 << self.wbits) - 1
+        self.hist_mask = (1 << self.schedule.levels[-1].s) - 1
+        # (s, h) per level, in order of increasing s.
+        self.steps = tuple([(lv.s, lv.s * lv.s // 2) for lv in self.schedule.levels])
         self.pos = 0
         self.window = 0
-        self.wmask = (1 << config.window_bits) - 1
+        self.hist = 0
+        # Position 1 is an event: every level starts its first instance.
+        self.span: List[tuple] = []
+        self.span_start = 0
+        self.next_event = 1
 
     def push_raw(self, bit: int):
-        if self.pos >= self.config.n:
-            raise ValueError("input longer than n=%d" % self.config.n)
+        pos = self.pos
+        if pos >= self.n:
+            raise ValueError("input longer than n=%d" % self.n)
         if bit != 0 and bit != 1:
             raise ValueError("input bit must be 0 or 1, got %r" % (bit,))
-        window = ((self.window << 1) | bit) & self.wmask
-        self.pos += 1
-        i = self.pos
-        self.window = window
-        wlen = min(i, self.config.window_bits)
-        out = []
-        for pair in self.levels:
-            # An inactive level (s > i) takes the bit for its state only.
-            sym = pair.push(bit)
-            if pair.level.s <= i:
-                out.append(sym)
-        return (wlen, window, tuple(out))
+        self.window = window = ((self.window << 1) | bit) & self.wmask
+        self.pos = pos = pos + 1
+        if pos == self.next_event:
+            self._event(pos, window)
+        wbits = self.wbits
+        return (pos if pos < wbits else wbits, window, self.span[pos - self.span_start])
+
+    def _event(self, pos: int, window: int) -> None:
+        """Advance the levels whose block ends or instance starts at pos and
+        build the span from pos to the next event."""
+        k = pos - self.span_start
+        hist = ((self.hist << k) | (window & ((1 << k) - 1))) & self.hist_mask
+        self.hist = hist
+        steps = self.steps
+        cap = steps[0][0]
+        limit = self.n + 1 - pos
+        cols = []
+        for core, (s, h) in zip(self.levels, steps):
+            r = pos % s
+            if r == 0:
+                core.complete(hist & ((1 << s) - 1))
+            elif r == 1 and pos % h == 1:
+                core.roll()
+            if s > pos:
+                # Inactive (left out of the symbol) until its first block ends.
+                limit = min(limit, s - pos)
+                continue
+            # A column runs to the level's block end, or to pos alone when
+            # an instance starts at pos + 1; zip stops at the shortest.
+            end = r + 1 if r == 0 and pos % h == 0 else r + cap
+            old, new = core.old_word, core.new_word
+            cols.append(zip(repeat(None) if old is None else old[r:end],
+                            repeat(None) if new is None else new[r:end]))
+        span = list(zip(*cols)) if cols else [()] * limit
+        del span[limit:]
+        self.span = span
+        self.span_start = pos
+        self.next_event = pos + len(span)
 
     def push(self, bit: int) -> FinalSymbol:
         wlen, wval, raw = self.push_raw(bit)
@@ -236,12 +294,8 @@ class PipelineEncoder:
 
     def clone(self) -> "PipelineEncoder":
         other = PipelineEncoder.__new__(PipelineEncoder)
-        other.config = self.config
-        other.schedule = self.schedule
-        other.levels = [pair.clone() for pair in self.levels]
-        other.pos = self.pos
-        other.window = self.window
-        other.wmask = self.wmask
+        other.__dict__.update(self.__dict__)
+        other.levels = [core.clone() for core in self.levels]
         return other
 
 

@@ -18,10 +18,9 @@ from treecodes.ecc import (
     build_code_c,
     canonical_modulus,
     find_inner_code,
-    gf_mul_int,
     s_delta,
 )
-from treecodes.ecc import _build_rows_rs
+from treecodes.ecc import _build_rows_rs, _poly_mulmod
 
 GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden", "block_code_rows.json")
 
@@ -33,6 +32,12 @@ def test_canonical_moduli_small_degrees():
     assert canonical_modulus(2) == 0b111
     assert canonical_modulus(3) == 0b1011
     assert canonical_modulus(8) == 0x11B
+
+
+def gf_mul_int(m, a, b):
+    """Multiplication in GF(2^m) on raw int representations: the scalar
+    reference, used only by these tests."""
+    return _poly_mulmod(a, b, canonical_modulus(m), m)
 
 
 def test_gf_field_axioms_sampled():
@@ -284,6 +289,26 @@ def test_symbols_for_memoizes_only_small_input_spaces():
     assert wide.input_bits > MEMO_MAX_INPUT_BITS
     assert wide.symbols_for(5) == wide.symbols_for(5)
     assert not wide._memo
+
+
+def test_encode_int_is_the_xor_of_the_selected_rows():
+    # Row i is selected by input bit input_bits-1-i.  The s=588 codes are
+    # wider than the byte tables go (1024 bits), so they take the
+    # row-selecting pass; s=84 takes the byte tables.
+    from treecodes.pipeline import level_code
+
+    rng = random.Random(21)
+    for recipe, s in (("rs", 588), ("concat", 588), ("rs", 84)):
+        spec = level_code(s, Fraction(1, 4), recipe, 0, 3 * s)
+        w = spec.input_bits
+        assert (spec._build_byte_tables() == ()) == (w > 1024)
+        xs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(6)]
+        for x in xs:
+            want = 0
+            for i, row in enumerate(spec.generator_rows):
+                if x >> (w - 1 - i) & 1:
+                    want ^= row
+            assert spec.encode_int(x) == want, (recipe, s, x.bit_length())
 
 
 def _split_reference(s, c, out):

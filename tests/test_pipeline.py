@@ -1,6 +1,7 @@
 """Tests for the schedule, the full pipeline encoder and its alphabet
 accounting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 import treecodes.pipeline as pipeline
 from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
 from treecodes.ecc import InfeasibleCodeError
-from treecodes.lagged import INTERN_BITS
+from treecodes.lagged import INTERN_BITS, UntruncatedCore
 from treecodes.linearcode import BoostParams
 from treecodes.pipeline import (
     PipelineConfig,
@@ -115,20 +116,40 @@ def test_encoder_length_guard():
         enc.push(0)
 
 
+def _encoder_state(enc):
+    state = dict(vars(enc))
+    state["levels"] = [tuple(getattr(core, f) for f in UntruncatedCore.__slots__)
+                       for core in enc.levels]
+    return state
+
+
 def test_push_rejects_non_bits_before_changing_state():
-    cfg = PipelineConfig(n=1 << 14)
+    # Bad bits before pushes whose position is an event (a block end at 16
+    # or 32, a rollover at 129) and before one that is not, then pushes
+    # past n.
+    cfg = PipelineConfig(n=200)
     enc = PipelineEncoder(cfg)
     rng = random.Random(6)
-    for _ in range(40):
+    for stop in (15, 31, 128, 140):
+        while enc.pos < stop:
+            enc.push_raw(rng.randrange(2))
+        twin = enc.clone()
+        before = _encoder_state(enc)
+        for bad in (2, -1, 3, "1", None, 0.5):
+            with pytest.raises(ValueError):
+                enc.push_raw(bad)
+            with pytest.raises(ValueError):
+                enc.push(bad)
+        assert _encoder_state(enc) == before
+        bit = rng.randrange(2)
+        assert enc.push_raw(bit) == twin.push_raw(bit)
+    while enc.pos < cfg.n:
         enc.push_raw(rng.randrange(2))
-    twin = enc.clone()
-    for bad in (2, -1, 3, "1", None, 0.5):
+    before = _encoder_state(enc)
+    for bit in (0, 1, 2):
         with pytest.raises(ValueError):
-            enc.push_raw(bad)
-        with pytest.raises(ValueError):
-            enc.push(bad)
-    tail = [rng.randrange(2) for _ in range(30)]
-    assert [enc.push_raw(b) for b in tail] == [twin.push_raw(b) for b in tail]
+            enc.push_raw(bit)
+        assert _encoder_state(enc) == before
 
 
 def test_level_codes_built_once_per_process(monkeypatch):
@@ -212,6 +233,74 @@ def test_clone_diverges_independently():
     assert out_a[0] != out_b[0]
     # Same-suffix replay from a fresh clone is identical.
     # (Clones share immutable level data but no mutable state.)
+
+
+class _PerBitReference:
+    """The per-bit walk that the span-based push_raw replaced: every
+    level's core is pushed on every bit, and the pairs of the active levels
+    (s <= pos) are kept."""
+
+    def __init__(self, config):
+        self.wbits = config.window_bits
+        self.levels = [UntruncatedCore(pipeline._level_core(config, lv.s))
+                       for lv in build_schedule(config.n, config.s_min, config.a).levels]
+        self.pos = 0
+        self.window = 0
+
+    def push_raw(self, bit):
+        self.pos += 1
+        self.window = ((self.window << 1) | bit) & ((1 << self.wbits) - 1)
+        out = [(core.level.s, core.push(bit)) for core in self.levels]
+        return (min(self.pos, self.wbits), self.window,
+                tuple([sym for s, sym in out if s <= self.pos]))
+
+    def clone(self):
+        other = _PerBitReference.__new__(_PerBitReference)
+        other.__dict__.update(self.__dict__)
+        other.levels = [core.clone() for core in self.levels]
+        return other
+
+
+def _clone_positions(config, rng):
+    """Each level's first block end s_g, its first two rollovers j*h+1, the
+    first position where levels 1 and 2 both end a block and the position
+    before it, and random positions; all below n."""
+    sched = build_schedule(config.n, config.s_min, config.a)
+    s1, s2 = sched.levels[0].s, sched.levels[1].s
+    both = s1 * s2 // math.gcd(s1, s2)
+    marks = {both - 1, both}
+    for lv in sched.levels:
+        h = lv.s * lv.s // 2
+        marks.update((lv.s, h + 1, 2 * h + 1))
+    marks.update(rng.randrange(1, config.n) for _ in range(3))
+    return sorted(p for p in marks if p < config.n)
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(n=1 << 14),
+    # n=5000 would add an s=5000 level whose one block, at the last bit,
+    # builds a generator of about 120 MB; levels 12, 18 and 40 roll over
+    # several times either way.
+    PipelineConfig(n=4999, delta=Fraction(1, 2), a=4, s_min=12),
+    PipelineConfig(n=500, boost=BoostParams(1, 2)),
+    PipelineConfig(n=586, recipe="concat"),
+], ids=["default", "d12-a4-s12", "boost-1-2", "concat"])
+def test_push_raw_matches_the_per_bit_walk(config):
+    rng = random.Random(config.n)
+    bits = [rng.randrange(2) for _ in range(config.n)]
+    marks = _clone_positions(config, rng)
+    enc, ref = PipelineEncoder(config), _PerBitReference(config)
+    clones = []
+    for i, bit in enumerate(bits, 1):
+        assert enc.push_raw(bit) == ref.push_raw(bit), i
+        if i in marks:
+            clones.append((i, enc.clone(), ref.clone()))
+    assert [p for p, _, _ in clones] == marks
+    for i, twin, ref_twin in clones:
+        # A tail that differs from the stream at its first bit.
+        tail = [1 - bits[i]] + [rng.randrange(2) for _ in range(min(1200, config.n - i) - 1)]
+        for t, bit in enumerate(tail, i + 1):
+            assert twin.push_raw(bit) == ref_twin.push_raw(bit), (i, t)
 
 
 def _alphabet_at_reference(config, i):
