@@ -26,7 +26,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress
 from operator import xor
 from typing import List, Optional, Sequence, Tuple
@@ -200,11 +200,9 @@ class CodeSpecC:
     inner: Optional[InnerCode]
     generator_rows: tuple  # input_bits rows of s*c_delta-bit ints
 
-    def __post_init__(self):
-        memo = {} if self.input_bits <= MEMO_MAX_INPUT_BITS else None
-        object.__setattr__(self, "_memo", memo)
-        object.__setattr__(self, "_byte_tables", None)
-        object.__setattr__(self, "_split_plan", None)
+    @cached_property
+    def _memo(self) -> Optional[dict]:
+        return {} if self.input_bits <= MEMO_MAX_INPUT_BITS else None
 
     def symbols_for(self, packed: int) -> Tuple[int, ...]:
         """Codeword of an input_bits-wide packed message, as s symbol ints.
@@ -235,16 +233,14 @@ class CodeSpecC:
         whole bytes, read by one int.from_bytes each.  The masks are built
         on the first call and kept with the code.
         """
-        plan = self._split_plan
-        if plan is None:
-            plan = self._build_split_plan()
-        steps, nbytes, unpack = plan
+        steps, nbytes, unpack = self._split_plan
         for mask, shift in steps:
             moved = out & mask
             out = (out ^ moved) | (moved << shift)
         return unpack(out.to_bytes(nbytes, "big"))
 
-    def _build_split_plan(self):
+    @cached_property
+    def _split_plan(self):
         # Symbol t (counted from the least significant end) starts at bit
         # t*c and must move to lane t, at bit t*lane: a shift of t*gap for
         # gap = lane - c.  Bit b of t, from high to low, moves by 2^b*gap
@@ -275,15 +271,11 @@ class CodeSpecC:
                 return tuple([int.from_bytes(raw[i:i + width], "big")
                               for i in range(0, nbytes, width)])
 
-        plan = (tuple(steps), nbytes, unpack)
-        object.__setattr__(self, "_split_plan", plan)
-        return plan
+        return tuple(steps), nbytes, unpack
 
     def encode_int(self, x: int) -> int:
         """Encode input_bits packed into an int; returns s*c_delta packed bits."""
         tables = self._byte_tables
-        if tables is None:
-            tables = self._build_byte_tables()
         if tables:
             out = 0
             k = 0
@@ -297,27 +289,25 @@ class CodeSpecC:
         bits = format(x, "0%db" % self.input_bits).encode().translate(_BIT_BYTES)
         return reduce(xor, compress(self.generator_rows, bits), 0)
 
-    def _build_byte_tables(self):
+    @cached_property
+    def _byte_tables(self) -> tuple:
         # Per-byte lookup tables make encode_int ~8x fewer loop iterations.
         # Skipped for very wide inputs, where the tables would be large,
         # block completions are rare and the row-selecting pass is faster.
         rows = self.generator_rows
         w = self.input_bits
         if w > 1024:
-            tables = ()
-        else:
-            tables = []
-            for k in range((w + 7) // 8):
-                byte_rows = [rows[w - 1 - (8 * k + j)] if 8 * k + j < w else 0
-                             for j in range(8)]
-                table = [0] * 256
-                for b in range(1, 256):
-                    lsb = b & -b
-                    table[b] = table[b ^ lsb] ^ byte_rows[lsb.bit_length() - 1]
-                tables.append(table)
-            tables = tuple(tables)
-        object.__setattr__(self, "_byte_tables", tables)
-        return tables
+            return ()
+        tables = []
+        for k in range((w + 7) // 8):
+            byte_rows = [rows[w - 1 - (8 * k + j)] if 8 * k + j < w else 0
+                         for j in range(8)]
+            table = [0] * 256
+            for b in range(1, 256):
+                lsb = b & -b
+                table[b] = table[b ^ lsb] ^ byte_rows[lsb.bit_length() - 1]
+            tables.append(table)
+        return tuple(tables)
 
     def encode(self, bits: Sequence[int]) -> Tuple[int, ...]:
         """Encode a bit sequence; returns the s output symbols as ints."""
@@ -409,12 +399,6 @@ def _build_rows_rs(params: RSParams, input_bits: int) -> tuple:
     return tuple(rows[k * m - input_bits:])
 
 
-def _regroup_pad(rows: Sequence[int], raw_bits: int, total_bits: int) -> tuple:
-    """Left-align raw codeword bits inside the s*c_delta-bit output frame."""
-    shift = total_bits - raw_bits
-    return tuple(r << shift for r in rows)
-
-
 def build_code_c(
     s: int,
     delta,
@@ -443,10 +427,13 @@ def build_code_c(
             raise InfeasibleCodeError(
                 "RS recipe reaches delta %s < target %s at s=%d" % (provable, delta, s)
             )
-        raw = _build_rows_rs(params, input_bits)
-        c = params.m
-        rows = _regroup_pad(raw, params.n_code * params.m, s * c)
-        return CodeSpecC(s, c, input_bits, provable, "rs", params, None, rows)
+        # The built rows lie among the build's freed temporaries; their
+        # copies (r << 0 is a new int) are allocated one after another.  The
+        # wide encode_int pass reads about half the rows of each block, and
+        # at s = 588 it took about 1.2x as long on the scattered rows once
+        # the work between two blocks had evicted them (stream benchmark).
+        rows = tuple([r << 0 for r in _build_rows_rs(params, input_bits)])
+        return CodeSpecC(s, params.m, input_bits, provable, "rs", params, None, rows)
     if recipe != "concat":
         raise ValueError("unknown recipe %r" % recipe)
     if delta >= Fraction(1, 2):
@@ -468,20 +455,18 @@ def build_code_c(
     provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)
     if provable < delta:
         raise InfeasibleCodeError("provable delta %s below target %s" % (provable, delta))
-    # Concatenate: each m_out-bit outer symbol of a row becomes its inner
-    # codeword, looked up (keyed by the symbol's bit string) in a table of
-    # all 2^m_out of them; n_in = 8 m_out bits is whole bytes.
-    width = n_outer * m_out
-    inner_bytes = {
-        format(v, "0%db" % m_out): inner.encode(v).to_bytes(n_in // 8, "big")
-        for v in range(1 << m_out)
-    }
+    # Concatenate: split each outer row into its m_out-bit symbols, as a
+    # codeword of the outer code on its own, and replace each symbol by its
+    # inner codeword (n_in = 8 m_out bits, whole bytes); the n_outer*n_in
+    # bits are left-aligned in the s*c-bit frame.
+    outer_code = CodeSpecC(n_outer, m_out, input_bits, Fraction(outer.distance, n_outer),
+                           "rs", outer, None, _build_rows_rs(outer, input_bits))
+    inner_bytes = [inner.encode(v).to_bytes(n_in // 8, "big") for v in range(1 << m_out)]
+    pad = s * c - n_outer * n_in
     rows = []
-    for row in _build_rows_rs(outer, input_bits):
-        bits = format(row, "0%db" % width)
-        rows.append(int.from_bytes(
-            b"".join([inner_bytes[bits[k:k + m_out]] for k in range(0, width, m_out)]), "big"))
-    rows = _regroup_pad(rows, n_outer * n_in, s * c)
+    for row in outer_code.generator_rows:
+        joined = b"".join([inner_bytes[v] for v in outer_code.split_codeword(row)])
+        rows.append(int.from_bytes(joined, "big") << pad)
     return CodeSpecC(s, c, input_bits, provable, "concat", outer, inner, tuple(rows))
 
 
@@ -501,9 +486,11 @@ def _best_concat_params(input_bits: int, s: int, delta: Fraction):
             c = math.ceil(n_outer * n_in / s)
             # provable = ceil(...)/s >= delta, compared in ints
             provable_num = math.ceil((n_outer - k_out + 1) * d_in / c)
-            if (provable_num * delta.denominator >= delta.numerator * s
-                    and (best is None or c < best[2])):
-                best = (m_out, n_outer, c)
+            if provable_num * delta.denominator >= delta.numerator * s:
+                # c never falls as n_outer grows: this is m_out's best.
+                if best is None or c < best[2]:
+                    best = (m_out, n_outer, c)
+                break
     return best
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from .core import BLANK, FixedBits
@@ -60,11 +61,16 @@ class LaggedParams:
                 "block code consumes %d bits, packed symbols have %d"
                 % (self.spec.input_bits, expected)
             )
-        object.__setattr__(self, "_level", None)  # LevelCore.from_params
 
     @property
     def a(self) -> int:
         return self.ell // self.s
+
+    @cached_property
+    def level(self) -> "LevelCore":
+        """The level of these params, made on first use and shared by every
+        encoder built from them, so they share one symbol table."""
+        return LevelCore(self.s, self.spec.c_delta, self.boost, lambda: self.spec)
 
     def distance_bound(self) -> Fraction:
         """The guaranteed ell-lagged distance delta*(1/2 - 3/(2a)) of the
@@ -104,16 +110,6 @@ class LevelCore:
         self.make_spec = make_spec
         self.symbol_mask = (1 << min(c_delta, INTERN_BITS)) - 1
         self.symbols: List[Optional[FixedBits]] = [None] * (self.symbol_mask + 1)
-
-    @classmethod
-    def from_params(cls, params: LaggedParams) -> "LevelCore":
-        """The level of params, made on first use and shared by every
-        encoder built from the same params, so they share one symbol table."""
-        level = params._level
-        if level is None:
-            level = cls(params.s, params.spec.c_delta, params.boost, lambda: params.spec)
-            object.__setattr__(params, "_level", level)
-        return level
 
     def code(self) -> CodeSpecC:
         if self.spec is None:
@@ -173,6 +169,8 @@ class UntruncatedCore:
         self.new_word: Optional[Tuple[int, ...]] = None
 
     def push(self, bit: int) -> Tuple[Optional[int], Optional[int]]:
+        if bit != 0 and bit != 1:
+            raise ValueError("input bit must be 0 or 1, got %r" % (bit,))
         pos = self.pos + 1
         self.pos = pos
         if pos % self.period == 1:
@@ -228,7 +226,7 @@ class StreamEncoderTruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.core = UntruncatedCore(LevelCore.from_params(params), params.s ** 2)
+        self.core = UntruncatedCore(params.level, params.s ** 2)
 
     def push(self, bit: int):
         core = self.core
@@ -247,7 +245,7 @@ class StreamEncoderTruncatedLagged:
 def encode_truncated_lagged(params: LaggedParams, bits) -> tuple:
     """Encode a whole bit sequence (length <= s^2) through the truncated code."""
     enc = StreamEncoderTruncatedLagged(params)
-    return tuple(enc.push(int(b)) for b in bits)
+    return tuple(enc.push(b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,7 @@ class StreamEncoderUntruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.core = UntruncatedCore(LevelCore.from_params(params))
+        self.core = UntruncatedCore(params.level)
 
     def push(self, bit: int) -> LaggedSymbol:
         left, right = self.core.push(bit)
@@ -295,4 +293,4 @@ class StreamEncoderUntruncatedLagged:
 def encode_untruncated_lagged(params: LaggedParams, bits) -> tuple:
     """Encode a whole bit sequence through the untruncated code."""
     enc = StreamEncoderUntruncatedLagged(params)
-    return tuple(enc.push(int(b)) for b in bits)
+    return tuple(enc.push(b) for b in bits)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from typing import List, Optional, Tuple
 
@@ -151,10 +151,32 @@ class PipelineConfig:
             return 3 * s
         return BoostedPackedParams(s, self.boost).symbol_bits
 
+    @cached_property
+    def _schedule(self) -> Schedule:
+        return build_schedule(self.n, self.s_min, self.a)
 
-@lru_cache(maxsize=None)
-def _config_schedule(config: PipelineConfig) -> Schedule:
-    return build_schedule(config.n, config.s_min, config.a)
+    @cached_property
+    def _layout(self) -> tuple:
+        """(window bits, levels) for alphabet_at: per schedule level, in
+        order of increasing s, the tuple (s, h, c_delta, "Lg.left",
+        "Lg.right").
+
+        A level whose block code is infeasible ends the tuple with
+        (s, None, message), so that alphabet_at raises only from that
+        level's first position on.  PipelineEncoder raises earlier, at
+        construction, since it sets up every level (for example at
+        n = 10^8, whose s = 69,177,612 level needs a field degree above
+        ecc.MAX_FIELD_DEGREE; ROADMAP item 4).
+        """
+        levels = []
+        for lv in self._schedule.levels:
+            try:
+                c = level_c_delta(self, lv.s)
+            except InfeasibleCodeError as exc:
+                levels.append((lv.s, None, str(exc), None, None))
+                break
+            levels.append((lv.s, lv.s * lv.s // 2, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
+        return self.window_bits, tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +244,7 @@ class PipelineEncoder:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.schedule = _config_schedule(config)
+        self.schedule = config._schedule
         self.levels = [UntruncatedCore(_level_core(config, lv.s)) for lv in self.schedule.levels]
         self.n = config.n
         self.wbits = config.window_bits
@@ -308,32 +330,12 @@ def encode_final(config: PipelineConfig, bits) -> tuple:
     return tuple(enc.push(b) for b in bits)
 
 
-@lru_cache(maxsize=None)
-def _symbol_layout(config: PipelineConfig) -> tuple:
-    """(window bits, levels) for alphabet_at: per schedule level, in order
-    of increasing s, the tuple (s, h, c_delta, "Lg.left", "Lg.right").
-
-    A level whose block code is infeasible ends the tuple with
-    (s, None, message), so that alphabet_at raises only from that level's
-    first position on, as the encoder would.
-    """
-    levels = []
-    for lv in _config_schedule(config).levels:
-        try:
-            c = level_c_delta(config, lv.s)
-        except InfeasibleCodeError as exc:
-            levels.append((lv.s, None, str(exc), None, None))
-            break
-        levels.append((lv.s, lv.s * lv.s // 2, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
-    return config.window_bits, tuple(levels)
-
-
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
     """Exact bit accounting of the symbol at position i; independent of n
     for all n that include the position's active levels."""
     if not 1 <= i <= config.n:
         raise ValueError("position outside [1, n]")
-    window_bits, levels = _symbol_layout(config)
+    window_bits, levels = config._layout
     total = i if i < window_bits else window_bits
     structure = [("window", total)]
     for s, h, c, left_name, right_name in levels:

@@ -20,7 +20,9 @@ from treecodes.ecc import (
     find_inner_code,
     s_delta,
 )
-from treecodes.ecc import _build_rows_rs, _poly_mulmod
+from treecodes.ecc import (
+    INNER_DELTA, INNER_EXPANSION, _best_concat_params, _build_rows_rs, _poly_mulmod,
+)
 
 GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden", "block_code_rows.json")
 
@@ -192,6 +194,35 @@ def test_build_code_c_validation():
         build_code_c(16, Fraction(1, 4), "bogus")
 
 
+def _best_concat_params_reference(input_bits, s, delta):
+    # The full scan _best_concat_params cuts short, kept as the reference:
+    # every outer length of every m_out, the smallest c_delta kept, the
+    # first in scan order among equals.
+    best = None
+    for m_out in range(2, 17):
+        n_in = INNER_EXPANSION * m_out
+        d_in = math.ceil(INNER_DELTA * n_in - 1e-12)
+        k_out = math.ceil(input_bits / m_out)
+        for n_outer in range(max(k_out, 1 << (m_out - 1)), 1 << m_out):
+            c = math.ceil(n_outer * n_in / s)
+            provable_num = math.ceil((n_outer - k_out + 1) * d_in / c)
+            if (provable_num * delta.denominator >= delta.numerator * s
+                    and (best is None or c < best[2])):
+                best = (m_out, n_outer, c)
+    return best
+
+
+def test_best_concat_params_matches_full_scan():
+    # Widths from the toy codes to the concat schedule levels, targets from
+    # 0 to 2/5 (infeasible from s = 16 on), the standard 3s-bit input and
+    # a boosted 12s.
+    for s in (1, 4, 7, 16, 84, 129, 588):
+        for delta in map(Fraction, ("0", "1/4", "2/5")):
+            for input_bits in (3 * s, 12 * s):
+                want = _best_concat_params_reference(input_bits, s, delta)
+                assert _best_concat_params(input_bits, s, delta) == want, (s, delta, input_bits)
+
+
 def test_s_delta_rs_is_one_at_quarter():
     assert s_delta(Fraction(1, 4), "rs") == 1
 
@@ -301,7 +332,7 @@ def test_encode_int_is_the_xor_of_the_selected_rows():
     for recipe, s in (("rs", 588), ("concat", 588), ("rs", 84)):
         spec = level_code(s, Fraction(1, 4), recipe, 0, 3 * s)
         w = spec.input_bits
-        assert (spec._build_byte_tables() == ()) == (w > 1024)
+        assert (spec._byte_tables == ()) == (w > 1024)
         xs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(6)]
         for x in xs:
             want = 0

@@ -10,7 +10,6 @@ from treecodes.ecc import CodeSpecC, build_code_c
 from treecodes.lagged import (
     LaggedParams,
     LaggedSymbol,
-    LevelCore,
     StreamEncoderTruncatedLagged,
     StreamEncoderUntruncatedLagged,
     UntruncatedCore,
@@ -131,6 +130,37 @@ def test_untruncated_clone():
     assert [enc.push(b) for b in tail] == [other.push(b) for b in tail]
 
 
+def _core_state(core):
+    return tuple(getattr(core, f) for f in UntruncatedCore.__slots__)
+
+
+@pytest.mark.parametrize("cls", [StreamEncoderTruncatedLagged, StreamEncoderUntruncatedLagged])
+def test_push_rejects_non_bits_before_changing_state(cls):
+    # Bad bits before a push that completes a block (position 4), one that
+    # starts the untruncated encoder's second instance (9, h = 8) and one
+    # that does neither (11).
+    enc = cls(toy_params())
+    rng = random.Random(9)
+    for stop in (3, 8, 10):
+        while enc.core.pos < stop:
+            enc.push(rng.randrange(2))
+        twin = enc.clone()
+        before = _core_state(enc.core)
+        for bad in (2, -1, "1", None):
+            with pytest.raises(ValueError):
+                enc.push(bad)
+        assert _core_state(enc.core) == before
+        bit = rng.randrange(2)
+        assert enc.push(bit) == twin.push(bit)
+
+
+@pytest.mark.parametrize("encode", [encode_truncated_lagged, encode_untruncated_lagged])
+def test_encode_lagged_rejects_non_bits(encode):
+    for bad in (2, -1, "1", None):
+        with pytest.raises(ValueError):
+            encode(toy_params(), [1, 0, bad, 1])
+
+
 def test_boosted_lagged_roundtrip():
     boost = BoostParams(1, 1)
     s = 2
@@ -224,7 +254,7 @@ def random_bits(rng, n):
 @pytest.mark.parametrize("s", [4, 6])
 def test_level_core_matches_per_instance_reference_toy(s):
     # Five instance periods: four rollovers, three of which retire an instance.
-    level = LevelCore.from_params(toy_params(s))
+    level = toy_params(s).level
     assert_core_matches_reference(level, 5 * level.h, seed=s)
 
 
