@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import IntPair, serialize_symbol
 from .ecc import build_code_c
-from .lagged import LaggedParams, StreamEncoderTruncatedLagged
+from .lagged import LaggedParams, encode_truncated_lagged
 from .linearcode import pascal_step
 from .pascal import is_totally_nonsingular, pascal_matrix, search_tns
 from .pipeline import (
@@ -199,13 +199,9 @@ def _cmd_verify(args, out):
     elif args.mode == "lagged":
         spec = build_code_c(args.s, Fraction(args.delta), "rs", args.seed)
         params = LaggedParams(args.s, args.a * args.s, spec)
-
-        def encode(bits):
-            enc = StreamEncoderTruncatedLagged(params)
-            return tuple(enc.push(b) for b in bits)
-
         report = lagged_distance(
-            encode, args.a * args.s, args.s * args.s // 2, (0, 1), args.nmax
+            lambda bits: encode_truncated_lagged(params, bits),
+            args.a * args.s, args.s * args.s // 2, (0, 1), args.nmax,
         )
     elif args.mode == "toeplitz":
         code = sample_toeplitz_code(args.q, args.d, args.n, args.seed)

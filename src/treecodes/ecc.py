@@ -480,6 +480,9 @@ def _best_concat_params(input_bits: int, s: int, delta: Fraction):
     for m_out in range(2, 17):
         n_in = INNER_EXPANSION * m_out
         d_in = math.ceil(INNER_DELTA * n_in - 1e-12)
+        # c >= n_outer n_in / s bounds every numerator by ceil(d_in s / n_in).
+        if -(-d_in * s // n_in) * delta.denominator < delta.numerator * s:
+            continue
         k_out = math.ceil(input_bits / m_out)
         lo, hi = max(k_out, 1 << (m_out - 1)), (1 << m_out) - 1
         for n_outer in range(lo, hi + 1):

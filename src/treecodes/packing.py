@@ -78,7 +78,8 @@ class StreamEncoderBlockTc:
 
 
 def encode_block_tc(params: PackedCodeParams, blocks: Sequence) -> Tuple[FixedBits, ...]:
-    """Encode up to s blocks of s bits each into 3s-bit symbols."""
+    """Encode up to s blocks of s bits each into 3s-bit symbols, or into
+    the wider symbols of a BoostedPackedParams."""
     if len(blocks) > params.s:
         raise ValueError("at most %d blocks allowed" % params.s)
     enc = StreamEncoderBlockTc(params)
@@ -129,13 +130,4 @@ class BoostedPackedParams:
 
 # One encoder serves both codes: its BoostedPackedParams does the packing.
 StreamEncoderBoostedBlockTc = StreamEncoderBlockTc
-
-
-def encode_boosted_block_tc(
-    params: BoostedPackedParams, blocks: Sequence
-) -> Tuple[FixedBits, ...]:
-    """Encode up to s blocks under the boosted packed code."""
-    if len(blocks) > params.s:
-        raise ValueError("at most %d blocks allowed" % params.s)
-    enc = StreamEncoderBoostedBlockTc(params)
-    return tuple(enc.push(b) for b in blocks)
+encode_boosted_block_tc = encode_block_tc

@@ -323,7 +323,7 @@ class PipelineEncoder:
 
 def encode_final(config: PipelineConfig, bits) -> tuple:
     """Encode a whole bit sequence (length <= n) into FinalSymbols."""
-    bits = [int(b) for b in bits]
+    bits = list(bits)
     if len(bits) > config.n:
         raise ValueError("input longer than n=%d" % config.n)
     enc = PipelineEncoder(config)

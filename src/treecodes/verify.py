@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
-from .core import BudgetExceededError, hamming_distance, split
+from .core import BudgetExceededError, hamming_distance, hamming_weight, split
 from .linearcode import encode_tc_a
 from .pascal import LowerTriangularMatrix
 
@@ -34,12 +34,13 @@ class DistanceReport:
 
 
 def _min_pair_ratio(
-    encode: Callable, alphabet: tuple, lengths: range, lags: range, space: str
+    encode: Callable, alphabet: Sequence, lengths: range, lags: range, space: str, budget: int
 ) -> Optional[DistanceReport]:
     """The first minimum, in enumeration order, of Hamming(enc(x), enc(x'))
     / (n - split) over n in lengths and pairs x < x' of alphabet^n (in
     itertools.product order) whose lag n - split lies in lags; None when no
-    pair qualifies.
+    pair qualifies.  BudgetExceededError when the pairs of the lengths
+    scanned, sum q^n (q^n - 1) / 2, exceed budget.
 
     With x the i-th string, the partners j > i at lag b form the index
     range [(i // q^(b-1) + 1) q^(b-1), (i // q^b + 1) q^b), and these
@@ -49,7 +50,11 @@ def _min_pair_ratio(
     interned into small ints, so they must be hashable (TypeError
     otherwise); hamming_distance then compares int tuples.
     """
+    alphabet = tuple(alphabet)
     q = len(alphabet)
+    pairs = sum(q**n * (q**n - 1) // 2 for n in lengths)
+    if pairs > budget:
+        raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
     if any(a == b for a, b in itertools.combinations(alphabet, 2)):
         raise ValueError("alphabet symbols must be distinct: %r" % (alphabet,))
     hamming = hamming_distance
@@ -91,13 +96,9 @@ def tree_distance_exhaustive(
 
     The alphabet symbols must be distinct (ValueError) and the encoded
     symbols hashable (TypeError)."""
-    alphabet = tuple(alphabet)
-    q = len(alphabet)
-    pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
-    if pairs > budget:
-        raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
     lengths = range(1, n_max + 1)
-    return _min_pair_ratio(encode, alphabet, lengths, lengths, "n<=%d over %d symbols" % (n_max, q))
+    space = "n<=%d over %d symbols" % (n_max, len(alphabet))
+    return _min_pair_ratio(encode, alphabet, lengths, lengths, space, budget)
 
 
 def tree_distance_relaxed(
@@ -105,12 +106,55 @@ def tree_distance_relaxed(
 ) -> DistanceReport:
     """The relaxed distance: the same minimum restricted to length exactly n,
     with the same requirements on the symbols."""
-    alphabet = tuple(alphabet)
-    q = len(alphabet)
-    pairs = q**n * (q**n - 1) // 2
-    if pairs > budget:
-        raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-    return _min_pair_ratio(encode, alphabet, range(n, n + 1), range(1, n + 1), "n=%d exactly" % n)
+    lengths = range(n, n + 1)
+    return _min_pair_ratio(encode, alphabet, lengths, range(1, n + 1), "n=%d exactly" % n, budget)
+
+
+def lagged_distance(
+    encode: Callable, ell: int, L: int, alphabet: Sequence, n_max: int, budget: int = 2_000_000
+) -> DistanceReport:
+    """Exact min of Hamming/b over pairs of length ell..n_max whose lag
+    b = n - split lies in [ell, L], with the same requirements on the
+    symbols; the budget counts the pairs of those lengths."""
+    if n_max < ell:
+        raise ValueError("no pair can reach lag %d at n_max=%d" % (ell, n_max))
+    lengths, space = range(ell, n_max + 1), "lag in [%d,%d]" % (ell, L)
+    best = _min_pair_ratio(encode, alphabet, lengths, range(ell, L + 1), space, budget)
+    if best is None:
+        raise ValueError("no pair with lag in [%d, %d] found" % (ell, L))
+    return best
+
+
+def _min_weight_ratio(
+    encode: Callable, entries: Sequence, n_max: int, width: int, space: str, budget: int,
+    stop: Optional[Fraction] = None,
+) -> Optional[DistanceReport]:
+    """The first minimum, in enumeration order, of wt(enc(x)) /
+    (width * (k - split(x, 0))) over k <= n_max and non-zero x in entries^k
+    (itertools.product order), as witness (x, split, weight).
+
+    encode returns x's encoding as flat coordinates, width of them per
+    position, and wt counts the non-zero ones.  Raises BudgetExceededError
+    when the vectors, sum |entries|^k, exceed budget.  With stop given the
+    scan ends at the first minimum <= stop.
+    """
+    total = sum(len(entries) ** k for k in range(1, n_max + 1))
+    if total > budget:
+        raise BudgetExceededError("%d vectors exceed budget %d" % (total, budget))
+    best = None
+    for k in range(1, n_max + 1):
+        zero = (0,) * k
+        for x in itertools.product(entries, repeat=k):
+            if x == zero:
+                continue
+            wt = hamming_weight(encode(x), 0)
+            ell = split(x, zero)
+            val = Fraction(wt, width * (k - ell))
+            if best is None or val < best.value:
+                best = DistanceReport(val, (x, ell, wt), space)
+                if stop is not None and val <= stop:
+                    return best
+    return best
 
 
 def weight_distance_linear(
@@ -119,73 +163,10 @@ def weight_distance_linear(
     """Exact min over non-zero x of the coordinate-level weight of the
     (I, A) encoding divided by 2*(k - split(x, 0))."""
     entries = tuple(entries)
-    total = sum(len(entries) ** k for k in range(1, n_max + 1))
-    if total > budget:
-        raise BudgetExceededError("%d vectors exceed budget %d" % (total, budget))
-    best = None
-    for k in range(1, n_max + 1):
-        for x in itertools.product(entries, repeat=k):
-            if all(v == 0 for v in x):
-                continue
-            enc = encode_tc_a(A, x)
-            wt = sum((1 if p.a != 0 else 0) + (1 if p.b != 0 else 0) for p in enc)
-            ell = split(x, (0,) * k)
-            val = Fraction(wt, 2 * (k - ell))
-            if best is None or val < best.value:
-                best = DistanceReport(val, (x, ell, wt), "k<=%d entries %r" % (n_max, entries))
-    return best
-
-
-def lagged_distance(
-    encode: Callable,
-    ell: int,
-    L: int,
-    alphabet: Sequence,
-    n_max: int,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    trials: int = 1000,
-    budget: int = 2_000_000,
-) -> DistanceReport:
-    """Min of Hamming/b over pairs whose lag b = n - split lies in [ell, L].
-
-    Exhaustive mode needs distinct alphabet symbols (ValueError) and
-    hashable encoded symbols (TypeError).  Sampled mode reports the minimum
-    over random qualifying pairs, an upper bound on the true minimum
-    (falsification only).
-    """
-    alphabet = tuple(alphabet)
-    if n_max < ell:
-        raise ValueError("no pair can reach lag %d at n_max=%d" % (ell, n_max))
-    if mode == "exhaustive":
-        q = len(alphabet)
-        pairs = sum(q**n * (q**n - 1) // 2 for n in range(1, n_max + 1))
-        if pairs > budget:
-            raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
-        best = _min_pair_ratio(
-            encode, alphabet, range(ell, n_max + 1), range(ell, L + 1), "lag in [%d,%d]" % (ell, L)
-        )
-        if best is None:
-            raise ValueError("no pair with lag in [%d, %d] found" % (ell, L))
-        return best
-    if mode != "sampled":
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    rng = random.Random(seed)
-    best = None
-    for _ in range(trials):
-        b = rng.randint(ell, min(L, n_max))
-        n = rng.randint(b, n_max)
-        sp = n - b
-        prefix = [rng.choice(alphabet) for _ in range(sp)]
-        first = rng.choice(alphabet)
-        other = rng.choice([a for a in alphabet if a != first])
-        x = tuple(prefix + [first] + [rng.choice(alphabet) for _ in range(b - 1)])
-        y = tuple(prefix + [other] + [rng.choice(alphabet) for _ in range(b - 1)])
-        d = hamming_distance(tuple(encode(x)), tuple(encode(y)))
-        val = Fraction(d, b)
-        if best is None or val < best.value:
-            best = DistanceReport(val, (x, y, sp, d), "sampled %d trials" % trials)
-    return best
+    return _min_weight_ratio(
+        lambda x: [c for p in encode_tc_a(A, x) for c in (p.a, p.b)],
+        entries, n_max, 2, "k<=%d entries %r" % (n_max, entries), budget,
+    )
 
 
 def singleton_bound(n: int, sigma_size: int, gamma_size: int) -> Fraction:
@@ -404,24 +385,11 @@ def toeplitz_weight_distance(
     an upper bound witnessing the failure.
     """
     n_max = code.n if n_max is None else n_max
-    total = sum(code.q**k for k in range(1, n_max + 1))
-    if total > budget:
-        raise BudgetExceededError("%d vectors exceed budget %d" % (total, budget))
-    stop = None if stop_at is None else Fraction(stop_at)
-    best = None
-    for k in range(1, n_max + 1):
-        for x in itertools.product(range(code.q), repeat=k):
-            if all(v == 0 for v in x):
-                continue
-            enc = code.encode(x)
-            wt = sum(1 for sym in enc for c in sym if c != 0)
-            ell = split(x, (0,) * k)
-            val = Fraction(wt, code.d * (k - ell))
-            if best is None or val < best.value:
-                best = DistanceReport(val, (x, ell, wt), "k<=%d over F_%d" % (n_max, code.q))
-                if stop is not None and val <= stop:
-                    return best
-    return best
+    return _min_weight_ratio(
+        lambda x: [c for sym in code.encode(x) for c in sym],
+        range(code.q), n_max, code.d, "k<=%d over F_%d" % (n_max, code.q), budget,
+        None if stop_at is None else Fraction(stop_at),
+    )
 
 
 @dataclass(frozen=True)

@@ -214,10 +214,10 @@ def _best_concat_params_reference(input_bits, s, delta):
 
 def test_best_concat_params_matches_full_scan():
     # Widths from the toy codes to the concat schedule levels, targets from
-    # 0 to 2/5 (infeasible from s = 16 on), the standard 3s-bit input and
-    # a boosted 12s.
+    # 0 to 9/20 (1/3 and up infeasible from s = 16 on, where the scan ends
+    # early), the standard 3s-bit input and a boosted 12s.
     for s in (1, 4, 7, 16, 84, 129, 588):
-        for delta in map(Fraction, ("0", "1/4", "2/5")):
+        for delta in map(Fraction, ("0", "1/4", "1/3", "2/5", "9/20")):
             for input_bits in (3 * s, 12 * s):
                 want = _best_concat_params_reference(input_bits, s, delta)
                 assert _best_concat_params(input_bits, s, delta) == want, (s, delta, input_bits)

@@ -1,10 +1,12 @@
-"""Golden outputs of the encoders.
+"""Golden outputs of the encoders and the distance oracles.
 
-Each case serializes an encoder's output on fixed, seeded inputs into text
-lines and compares their sha256 digest with `golden/encoder_outputs.json`.
-The digests pin the behaviour of the pipeline, lagged, packed and integer
-encoders and of the `encode-int`/`encode-chs` commands; a digest changes
-only with an intended change of behaviour, recorded in CHANGES.md.
+Each case serializes an encoder's output or a list of distance reports on
+fixed, seeded inputs into text lines and compares their sha256 digest with
+`golden/encoder_outputs.json`.  The digests pin the behaviour of the
+pipeline, lagged, packed and integer encoders, of the weight, tree,
+Toeplitz and lagged distance reports, and of the `encode-int`,
+`encode-chs` and `verify` commands; a digest changes only with an intended
+change of behaviour, recorded in CHANGES.md.
 """
 
 import hashlib
@@ -34,6 +36,14 @@ from treecodes.packing import (
 )
 from treecodes.pascal import LowerTriangularMatrix, pascal_matrix
 from treecodes.pipeline import PipelineConfig, PipelineEncoder, alphabet_at
+from treecodes.verify import (
+    lagged_distance,
+    sample_toeplitz_code,
+    toeplitz_weight_distance,
+    tree_distance_exhaustive,
+    tree_distance_relaxed,
+    weight_distance_linear,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "encoder_outputs.json")
 
@@ -168,6 +178,46 @@ def general_a_lines():
     return lines
 
 
+def _report(rep):
+    return "%s %r %s" % (rep.value, rep.witness, rep.space)
+
+
+def weight_distance_lines():
+    return [
+        _report(weight_distance_linear(pascal_matrix(m), entries, m + 1))
+        for m in range(2, 6)
+        for entries in (range(3), (0, 1, -1))
+    ]
+
+
+def tree_distance_lines():
+    lines = []
+    for n in range(1, 6):
+        P = pascal_matrix(n - 1)
+        encode = lambda x: encode_tc_a(P, x)
+        for alphabet in (range(3), (0, 1)):
+            lines.append(_report(tree_distance_exhaustive(encode, alphabet, n)))
+            lines.append(_report(tree_distance_relaxed(encode, alphabet, n)))
+    return lines
+
+
+def toeplitz_distance_lines():
+    lines = []
+    for q in (2, 3, 4, 5, 8):
+        for seed in range(4):
+            code = sample_toeplitz_code(q, 2, 4, seed)
+            lines.append(_report(toeplitz_weight_distance(code)))
+            lines.append(_report(toeplitz_weight_distance(code, stop_at=Fraction(1, 2))))
+    return lines
+
+
+def lagged_distance_lines():
+    params = _toy()
+    encode = lambda bits: encode_untruncated_lagged(params, bits)
+    return [_report(lagged_distance(encode, ell, L, (0, 1), 10))
+            for ell, L in ((8, 8), (4, 8), (2, 5))]
+
+
 def _cli_lines(tmp_path, name, text, *argv):
     inp, out = tmp_path / (name + ".in"), tmp_path / (name + ".out")
     inp.write_text(text)
@@ -186,6 +236,12 @@ def cli_encode_chs_lines(tmp_path):
     return _cli_lines(tmp_path, "chs", "%0500x\n" % x, "encode-chs", "--n", "2000")
 
 
+def cli_verify_lines(tmp_path, mode, *argv):
+    out = tmp_path / (mode + ".out")
+    assert main(["--output", str(out), "verify", "--mode", mode] + list(argv)) == 0
+    return out.read_text().splitlines()
+
+
 CASES = {
     "pipeline_raw_n16384": pipeline_raw_lines,
     "pipeline_boosted_n500_r2": pipeline_boosted_lines,
@@ -196,10 +252,17 @@ CASES = {
     "encode_block_tc": block_tc_lines,
     "encode_boosted_block_tc": boosted_block_tc_lines,
     "general_a": general_a_lines,
+    "distance_weight_linear": weight_distance_lines,
+    "distance_tree_tc_a": tree_distance_lines,
+    "distance_toeplitz": toeplitz_distance_lines,
+    "distance_lagged_s4": lagged_distance_lines,
 }
 CLI_CASES = {
     "cli_encode_int": cli_encode_int_lines,
     "cli_encode_chs_n2000": cli_encode_chs_lines,
+    "cli_verify_tilde_nmax4": lambda tmp_path: cli_verify_lines(tmp_path, "tilde", "--nmax", "4"),
+    "cli_verify_lagged_nmax10": lambda tmp_path: cli_verify_lines(tmp_path, "lagged", "--nmax", "10"),
+    "cli_verify_toeplitz": lambda tmp_path: cli_verify_lines(tmp_path, "toeplitz"),
 }
 
 

@@ -210,6 +210,15 @@ def test_encode_final_matches_stream():
     assert tuple(enc.push(b) for b in bits) == encode_final(cfg, bits)
 
 
+def test_encode_final_rejects_what_push_rejects():
+    cfg = PipelineConfig(n=200)
+    for bad in ("1", None, 2):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode_final(cfg, [1, 0, bad])
+        with pytest.raises(ValueError, match="0 or 1"):
+            PipelineEncoder(cfg).push(bad)
+
+
 def test_prefix_stability_across_n():
     rng = random.Random(3)
     bits = [rng.randrange(2) for _ in range(600)]

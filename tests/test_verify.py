@@ -80,12 +80,16 @@ def test_lagged_distance_requires_reachable_lag():
         lagged_distance(lambda x: x, 10, 20, (0, 1), 5)
 
 
-def test_lagged_distance_sampled_mode():
-    spec = build_code_c(4, Fraction(1, 4), "rs")
-    params = LaggedParams(4, 8, spec)
-    enc = lambda bits: encode_truncated_lagged(params, bits)
-    rep = lagged_distance(enc, 8, 8, (0, 1), 12, mode="sampled", seed=0, trials=100)
-    assert rep.value > 0
+def test_lagged_distance_budget_counts_the_lengths_scanned():
+    # ell = 8, n_max = 10, q = 2: lengths 8..10 hold 687,232 pairs, and
+    # lengths 1..10 698,027; only the scanned ones count.
+    scanned = sum(2**n * (2**n - 1) // 2 for n in range(8, 11))
+    assert scanned == 687_232
+    enc = lambda x: x
+    rep = lagged_distance(enc, 8, 8, (0, 1), 10, budget=690_000)
+    assert rep.value == Fraction(1, 8)
+    with pytest.raises(BudgetExceededError):
+        lagged_distance(enc, 8, 8, (0, 1), 10, budget=scanned - 1)
 
 
 def test_singleton_bound_values():
