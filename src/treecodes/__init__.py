@@ -5,7 +5,6 @@ pipeline with polylogarithmic output alphabets."""
 from .core import (
     BLANK,
     AlphabetDescriptor,
-    BitString,
     BudgetExceededError,
     FixedBits,
     IntPair,
@@ -22,6 +21,7 @@ from .ecc import (
     InnerCode,
     RSParams,
     build_code_c,
+    code_shape,
     find_inner_code,
     s_delta,
 )

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import IntPair, serialize_symbol
+from .core import BudgetExceededError, IntPair, serialize_symbol
 from .ecc import build_code_c
 from .lagged import LaggedParams, encode_truncated_lagged
 from .linearcode import pascal_step
@@ -184,24 +184,28 @@ def _cmd_verify(args, out):
     from .linearcode import encode_tc_a
 
     claim = None if args.claim is None else Fraction(args.claim)
+    nmax = args.nmax
+    if nmax is None:
+        # The lagged mode's pairs need length at least its smallest lag a*s.
+        nmax = args.a * args.s if args.mode == "lagged" else 5
     if args.mode == "singleton":
         value = singleton_bound(args.n, args.sigma, args.gamma)
         out.write("%s\n" % value)
         return 0
     if args.mode == "distance":
-        P = pascal_matrix(args.nmax - 1)
+        P = pascal_matrix(nmax - 1)
         report = tree_distance_exhaustive(
-            lambda x: encode_tc_a(P, x), range(3), args.nmax
+            lambda x: encode_tc_a(P, x), range(3), nmax
         )
     elif args.mode == "tilde":
-        P = pascal_matrix(args.nmax - 1)
-        report = weight_distance_linear(P, range(3), args.nmax)
+        P = pascal_matrix(nmax - 1)
+        report = weight_distance_linear(P, range(3), nmax)
     elif args.mode == "lagged":
         spec = build_code_c(args.s, Fraction(args.delta), "rs", args.seed)
         params = LaggedParams(args.s, args.a * args.s, spec)
         report = lagged_distance(
             lambda bits: encode_truncated_lagged(params, bits),
-            args.a * args.s, args.s * args.s // 2, (0, 1), args.nmax,
+            args.a * args.s, args.s * args.s // 2, (0, 1), nmax,
         )
     elif args.mode == "toeplitz":
         code = sample_toeplitz_code(args.q, args.d, args.n, args.seed)
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("distance", "tilde", "lagged", "singleton", "toeplitz"),
                     required=True)
     sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--nmax", type=int, default=5)
+    sp.add_argument("--nmax", type=int, default=None)
     sp.add_argument("--sigma", type=int, default=2)
     sp.add_argument("--gamma", type=int, default=4)
     sp.add_argument("--s", type=int, default=4)
@@ -287,8 +291,9 @@ def main(argv=None) -> int:
     out = _open_out(args.output)
     try:
         return handler(args, out)
-    except (ValueError, ArithmeticError) as exc:
-        # Covers infeasible code parameters and schedule errors.
+    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
+        # Covers infeasible code parameters, schedule errors and
+        # enumerations larger than their budget.
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except BrokenPipeError:

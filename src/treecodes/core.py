@@ -1,4 +1,4 @@
-"""Shared domain types: bit strings, output symbols, distance/split primitives.
+"""Shared domain types: output symbols, distance/split primitives.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class LengthMismatchError(ValueError):
@@ -101,56 +101,6 @@ class AlphabetDescriptor:
             raise ValueError("total_bits inconsistent with structure")
 
 
-class BitString:
-    """An immutable sequence of bits, MSB first."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        return cls(int(c) for c in text.strip())
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "BitString":
-        if value < 0 or value >> width:
-            raise ValueError("value does not fit in %d bits" % width)
-        return cls(((value >> (width - 1 - i)) & 1) for i in range(width))
-
-    def to_int(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
-    def __len__(self):
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, idx):
-        got = self.bits[idx]
-        return BitString(got) if isinstance(idx, slice) else got
-
-    def __eq__(self, other):
-        return isinstance(other, BitString) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return "BitString(%s)" % "".join(str(b) for b in self.bits)
-
-    def __add__(self, other):
-        return BitString(self.bits + tuple(other))
-
-
 def split(x: Sequence, y: Sequence) -> int:
     """Length of the longest common prefix of x and y.
 
@@ -225,25 +175,14 @@ def serialize_symbol(sym) -> str:
     the (I, A) code of a signed matrix emits, is written in decimal with a
     leading "-", as in "(1,-2)"; the blank is a lone "-" with no digits.
 
-    The exact package types are looked up by type(sym); anything else
-    (bool, subclasses) takes the isinstance order of _serialize_subclass,
-    which gives the same text.
+    The exact package types are looked up by type(sym) first, since every
+    symbol of a stream passes through here; anything else (bool,
+    subclasses) takes the entry of its nearest base class in the MRO.
     """
     text = _TEXT_BY_TYPE.get(type(sym))
     if text is None:
-        return _serialize_subclass(sym)
+        for base in type(sym).__mro__:
+            if base in _TEXT_BY_TYPE:
+                return _TEXT_BY_TYPE[base](sym)
+        raise TypeError("cannot serialize %r" % (sym,))
     return text(sym)
-
-
-def _serialize_subclass(sym) -> str:
-    if sym is BLANK or isinstance(sym, _Blank):
-        return "-"
-    if isinstance(sym, FixedBits):
-        return _fixed_text(sym)
-    if isinstance(sym, int):
-        return str(sym)
-    if isinstance(sym, IntPair):
-        return "(%d,%d)" % (sym.a, sym.b)
-    if isinstance(sym, SymbolTuple):
-        return "(" + ",".join(serialize_symbol(p) for p in sym.parts) + ")"
-    raise TypeError("cannot serialize %r" % (sym,))

@@ -147,11 +147,9 @@ def _exhaustive_min_weight(rows: Sequence[int], m_in: int) -> int:
     return best
 
 
-def find_inner_code(
-    m_in: int, n_in: int, delta_in: float, seed: int, attempts: int = INNER_ATTEMPTS
-) -> InnerCode:
-    """Sample seeded random generator matrices until one has verified
-    minimum distance >= delta_in * n_in.
+def find_inner_code(m_in: int, n_in: int, delta_in: float, seed: int) -> InnerCode:
+    """Sample up to INNER_ATTEMPTS seeded random generator matrices until
+    one has verified minimum distance >= delta_in * n_in.
 
     Deterministic given the seed: the first success in the sampling stream
     is returned along with its exhaustively computed distance.
@@ -165,7 +163,7 @@ def find_inner_code(
             % (n_in - m_in + 1, required)
         )
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(INNER_ATTEMPTS):
         rows = tuple(rng.getrandbits(n_in) for _ in range(m_in))
         d = _exhaustive_min_weight(rows, m_in)
         if d >= required:
@@ -173,7 +171,7 @@ def find_inner_code(
     raise InfeasibleCodeError(
         "no generator found in %d attempts; the Gilbert-Varshamov rate bound "
         "1 - H2(%.3f) = %.4f likely excludes rate %d/%d = %.4f"
-        % (attempts, delta_in, 1 - _h2(delta_in), m_in, n_in, m_in / n_in)
+        % (INNER_ATTEMPTS, delta_in, 1 - _h2(delta_in), m_in, n_in, m_in / n_in)
     )
 
 
@@ -420,38 +418,18 @@ def build_code_c(
         raise ValueError("s must be positive")
     if input_bits is None:
         input_bits = 3 * s
+    outer, c = code_shape(s, delta, recipe, input_bits)
     if recipe == "rs":
-        params = _rs_recipe_params(input_bits, s, delta)
-        provable = Fraction(params.distance, s)
-        if provable < delta:
-            raise InfeasibleCodeError(
-                "RS recipe reaches delta %s < target %s at s=%d" % (provable, delta, s)
-            )
         # The built rows lie among the build's freed temporaries; their
         # copies (r << 0 is a new int) are allocated one after another.  The
         # wide encode_int pass reads about half the rows of each block, and
         # at s = 588 it took about 1.2x as long on the scattered rows once
         # the work between two blocks had evicted them (stream benchmark).
-        rows = tuple([r << 0 for r in _build_rows_rs(params, input_bits)])
-        return CodeSpecC(s, params.m, input_bits, provable, "rs", params, None, rows)
-    if recipe != "concat":
-        raise ValueError("unknown recipe %r" % recipe)
-    if delta >= Fraction(1, 2):
-        raise InfeasibleCodeError(
-            "concatenated recipe needs inner distance >= %s >= 1/2, impossible "
-            "for positive-rate binary codes (Plotkin bound)" % delta
-        )
-    choice = _best_concat_params(input_bits, s, delta)
-    if choice is None:
-        raise InfeasibleCodeError(
-            "concatenated recipe (inner distance %.2f) cannot reach delta %s at s=%d"
-            % (INNER_DELTA, delta, s)
-        )
-    m_out, n_outer, _ = choice
+        rows = tuple([r << 0 for r in _build_rows_rs(outer, input_bits)])
+        return CodeSpecC(s, c, input_bits, Fraction(outer.distance, s), "rs", outer, None, rows)
+    m_out, n_outer = outer.m, outer.n_code
     n_in = INNER_EXPANSION * m_out
     inner = find_inner_code(m_out, n_in, INNER_DELTA, seed)
-    outer = RSParams(m_out, math.ceil(input_bits / m_out), n_outer)
-    c = math.ceil(n_outer * n_in / s)
     provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)
     if provable < delta:
         raise InfeasibleCodeError("provable delta %s below target %s" % (provable, delta))
@@ -468,6 +446,38 @@ def build_code_c(
         joined = b"".join([inner_bytes[v] for v in outer_code.split_codeword(row)])
         rows.append(int.from_bytes(joined, "big") << pad)
     return CodeSpecC(s, c, input_bits, provable, "concat", outer, inner, tuple(rows))
+
+
+def code_shape(s: int, delta: Fraction, recipe: str, input_bits: int) -> Tuple[RSParams, int]:
+    """The outer Reed-Solomon code and symbol width c_delta that
+    build_code_c picks, by arithmetic alone (no rows, no inner code).
+
+    Raises InfeasibleCodeError when the recipe cannot reach delta at s, and
+    ValueError for an unknown recipe.
+    """
+    if recipe == "rs":
+        params = _rs_recipe_params(input_bits, s, delta)
+        if params.distance * delta.denominator < delta.numerator * s:
+            raise InfeasibleCodeError(
+                "RS recipe reaches delta %s < target %s at s=%d"
+                % (Fraction(params.distance, s), delta, s)
+            )
+        return params, params.m
+    if recipe != "concat":
+        raise ValueError("unknown recipe %r" % recipe)
+    if delta >= Fraction(1, 2):
+        raise InfeasibleCodeError(
+            "concatenated recipe needs inner distance >= %s >= 1/2, impossible "
+            "for positive-rate binary codes (Plotkin bound)" % delta
+        )
+    choice = _best_concat_params(input_bits, s, delta)
+    if choice is None:
+        raise InfeasibleCodeError(
+            "concatenated recipe (inner distance %.2f) cannot reach delta %s at s=%d"
+            % (INNER_DELTA, delta, s)
+        )
+    m_out, n_outer, c = choice
+    return RSParams(m_out, math.ceil(input_bits / m_out), n_outer), c
 
 
 def _best_concat_params(input_bits: int, s: int, delta: Fraction):
@@ -505,13 +515,8 @@ def s_delta(delta, recipe: str = "concat", s_max: int = 4096) -> int:
     delta = Fraction(delta).limit_denominator(10**6)
     for s in range(1, s_max + 1):
         try:
-            if recipe == "rs":
-                params = _rs_recipe_params(3 * s, s, delta)
-                ok = Fraction(params.distance, s) >= delta
-            else:
-                ok = _best_concat_params(3 * s, s, delta) is not None
+            code_shape(s, delta, recipe, 3 * s)
         except InfeasibleCodeError:
-            ok = False
-        if ok:
-            return s
+            continue
+        return s
     raise InfeasibleCodeError("no s <= %d reaches delta %s" % (s_max, delta))

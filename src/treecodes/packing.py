@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .core import BitString, FixedBits
+from .core import FixedBits
 from .linearcode import BoostParams, pascal_step
 
 
@@ -64,7 +64,11 @@ class StreamEncoderBlockTc:
             raise ValueError("block must be exactly %d bits" % p.s)
         if self.blocks >= p.s:
             raise ValueError("encoder already consumed %d blocks" % p.s)
-        a = BitString(block).to_int() if not isinstance(block, BitString) else block.to_int()
+        a = 0
+        for b in block:
+            if b != 0 and b != 1:
+                raise ValueError("block bit must be 0 or 1, got %r" % (b,))
+            a = (a << 1) | b
         self.diffs, value = p.pack(self.diffs, a)
         self.blocks += 1
         return FixedBits(p.symbol_bits, value)

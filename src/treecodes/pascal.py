@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Sequence
 from .core import BudgetExceededError
 
 DEFAULT_MINOR_BUDGET = 2_000_000
+SEARCH_ATTEMPTS = 10_000  # random fillings tried by a seeded search_tns
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,6 @@ class TnsVerdict:
 
     def __bool__(self):
         return self.ok
-
-
-def binomial(i: int, j: int) -> int:
-    """Exact binomial coefficient C(i, j); zero when j > i."""
-    if i < 0 or j < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if j > i:
-        return 0
-    return math.comb(i, j)
 
 
 def pascal_matrix(n: int) -> LowerTriangularMatrix:
@@ -262,15 +254,14 @@ def search_tns(
     bound: int,
     seed: Optional[int] = None,
     budget: int = DEFAULT_MINOR_BUDGET,
-    attempts: int = 10_000,
 ) -> Optional[LowerTriangularMatrix]:
     """Find a TNS lower-triangular n x n matrix with |entries| <= bound.
 
     Exhaustive mode (seed None) scans all lower-triangle fillings with
     non-zero entries in [-bound, bound] in a fixed order (1, -1, 2, -2, ...)
     and either returns the first TNS matrix or proves none exists (None).
-    Seeded mode samples fillings at random and returns None only when the
-    attempt budget runs out, which proves nothing.
+    Seeded mode samples SEARCH_ATTEMPTS fillings at random and returns None
+    only when none of them is TNS, which proves nothing.
 
     Entries must be non-zero because every lower-triangle entry is itself a
     1x1 staircase minor.
@@ -293,7 +284,7 @@ def search_tns(
                 return cand
         return None
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(SEARCH_ATTEMPTS):
         fill = tuple(rng.choice(values) for _ in range(nfree))
         cand = _matrix_from_fill(n, fill)
         if is_totally_nonsingular(cand, budget=budget):

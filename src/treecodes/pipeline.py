@@ -35,9 +35,7 @@ from itertools import repeat
 from typing import List, Optional, Tuple
 
 from .core import AlphabetDescriptor, FixedBits, SymbolTuple
-from .ecc import (
-    CodeSpecC, InfeasibleCodeError, _best_concat_params, _rs_recipe_params, build_code_c,
-)
+from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c, code_shape
 from .lagged import LaggedSymbol, LevelCore, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
 from .packing import BoostedPackedParams
@@ -183,13 +181,7 @@ class PipelineConfig:
 def level_c_delta(config: PipelineConfig, s: int) -> int:
     """Per-symbol bit width of the level's block code, by arithmetic alone
     (no generator construction)."""
-    bits = config.level_input_bits(s)
-    if config.recipe == "rs":
-        return _rs_recipe_params(bits, s, config.delta).m
-    choice = _best_concat_params(bits, s, config.delta)
-    if choice is None:
-        raise InfeasibleCodeError("concatenated recipe infeasible at s=%d" % s)
-    return choice[2]
+    return code_shape(s, config.delta, config.recipe, config.level_input_bits(s))[1]
 
 
 @lru_cache(maxsize=None)

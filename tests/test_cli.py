@@ -113,6 +113,20 @@ def test_verify_claim_failure_exit_code(capsys):
     assert code == 0
 
 
+def test_verify_over_budget_is_one_error_line(capsys):
+    code = main(["verify", "--mode", "tilde", "--nmax", "20"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: 5230176600 vectors exceed budget 2000000\n"
+
+
+def test_verify_lagged_runs_with_its_defaults(capsys):
+    # --nmax defaults to the mode's smallest lag a*s = 8.
+    code, out = run_cli(capsys, "verify", "--mode", "lagged")
+    assert code == 0
+    assert json.loads(out)["space"] == "lag in [8,8]"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-subcommand"]) == 1
     assert main([]) == 1

@@ -10,7 +10,6 @@ import treecodes
 from treecodes.core import (
     BLANK,
     AlphabetDescriptor,
-    BitString,
     FixedBits,
     IntPair,
     LengthMismatchError,
@@ -108,13 +107,6 @@ def test_serialize_symbol_rejects_unknown_types():
             serialize_symbol(bad)
         with pytest.raises(TypeError):
             _serialize_reference(bad)
-
-
-def test_bitstring_roundtrip():
-    bs = BitString((1, 0, 1, 1, 0))
-    assert bs.to_int() == 22
-    assert BitString.from_int(22, 5) == bs
-    assert len(bs) == 5
 
 
 def test_split_basic():

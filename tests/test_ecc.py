@@ -227,6 +227,15 @@ def test_s_delta_rs_is_one_at_quarter():
     assert s_delta(Fraction(1, 4), "rs") == 1
 
 
+def test_s_delta_refuses_what_build_code_c_refuses():
+    # At s = 1 the concatenated width arithmetic alone reaches 1/2, but the
+    # Plotkin bound rules the recipe out at every s.
+    with pytest.raises(InfeasibleCodeError):
+        s_delta(Fraction(1, 2), "concat", s_max=64)
+    with pytest.raises(ValueError, match="unknown recipe"):
+        s_delta(Fraction(1, 4), "bogus")
+
+
 def test_s_delta_concat_reasonable():
     s0 = s_delta(Fraction(1, 4), "concat", s_max=64)
     assert 1 <= s0 <= 64

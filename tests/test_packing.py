@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from treecodes.core import BitString
 from treecodes.packing import (
     BoostedPackedParams,
     PackedCodeParams,
@@ -55,8 +54,20 @@ def test_packed_block_guards():
 def test_packed_accepts_bitstring():
     params = PackedCodeParams(4)
     enc = StreamEncoderBlockTc(params)
-    sym = enc.push(BitString((1, 1, 1, 1)))
+    sym = enc.push((1, 1, 1, 1))
     assert sym.value >> 8 == 15
+
+
+@pytest.mark.parametrize("params", [PackedCodeParams(2), BoostedPackedParams(2, BoostParams(1, 1))])
+def test_block_push_rejects_non_bits(params):
+    enc = StreamEncoderBlockTc(params)
+    enc.push([1, 0])
+    diffs = list(enc.diffs)
+    for bad in ("1", 2, None):
+        with pytest.raises(ValueError):
+            enc.push([1, bad])
+        assert enc.blocks == 1
+        assert enc.diffs == diffs
 
 
 def test_packed_clone():

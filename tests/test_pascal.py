@@ -12,7 +12,6 @@ from treecodes.pascal import (
     TnsVerdict,
     all_staircase_minors_positive,
     bareiss_determinant,
-    binomial,
     is_totally_nonsingular,
     iter_staircase_pairs,
     minor_determinant,
@@ -28,13 +27,6 @@ def test_pascal_entries():
     for i in range(6):
         for j in range(6):
             assert P.entry(i, j) == (math.comb(i, j) if j <= i else 0)
-
-
-def test_binomial_edges():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_bareiss_matches_known_determinants():

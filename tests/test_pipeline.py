@@ -9,7 +9,7 @@ import pytest
 
 import treecodes.pipeline as pipeline
 from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
-from treecodes.ecc import InfeasibleCodeError
+from treecodes.ecc import InfeasibleCodeError, build_code_c
 from treecodes.lagged import INTERN_BITS, UntruncatedCore
 from treecodes.linearcode import BoostParams
 from treecodes.pipeline import (
@@ -364,6 +364,18 @@ def test_alphabet_at_matches_schedule_walk_sampled_to_a_million():
     positions.update(rng.randrange(1, config.n + 1) for _ in range(20000))
     for i in sorted(positions):
         _same_descriptor(config, i)
+
+
+def test_level_c_delta_refuses_as_build_code_c():
+    # One recipe choice: the width lookup refuses where the build does, with
+    # its text (at s = 4 and delta = 1/2 the width arithmetic alone passes).
+    for s, delta in ((16, Fraction(1, 3)), (16, Fraction(1, 2)), (4, Fraction(1, 2))):
+        config = PipelineConfig(n=200, delta=delta, recipe="concat")
+        with pytest.raises(InfeasibleCodeError) as built:
+            build_code_c(s, delta, "concat")
+        with pytest.raises(InfeasibleCodeError) as looked_up:
+            level_c_delta(config, s)
+        assert str(looked_up.value) == str(built.value)
 
 
 def test_alphabet_at_raises_from_an_infeasible_level_only():
