@@ -48,9 +48,7 @@ from .packing import (
     BoostedPackedParams,
     PackedCodeParams,
     StreamEncoderBlockTc,
-    StreamEncoderBoostedBlockTc,
     encode_block_tc,
-    encode_boosted_block_tc,
 )
 from .pascal import (
     LowerTriangularMatrix,

@@ -129,9 +129,9 @@ def _read_bits(fh, limit):
 
 def _cmd_encode_chs(args, out):
     if args.eta is not None:
-        config = boosted_config(Fraction(args.eta), n=args.n, seed=args.seed)
+        config = boosted_config(Fraction(args.eta), n=args.n)
     else:
-        config = PipelineConfig(n=args.n, seed=args.seed)
+        config = PipelineConfig(n=args.n)
     enc = PipelineEncoder(config)
     with _open_in(args.input) as fh:
         bits = _read_bits(fh, args.n)
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("encode-chs")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--eta", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--input", default="-")
 
     sp = sub.add_parser("schedule")

@@ -411,7 +411,7 @@ def build_code_c(
     product bound; any target needing inner distance >= 1/2 is impossible
     for positive-rate binary codes by the Plotkin bound).
     """
-    delta = Fraction(delta).limit_denominator(10**6)
+    delta = Fraction(delta)
     if not 0 <= delta < 1:
         raise ValueError("delta must be in [0, 1)")
     if s < 1:
@@ -512,7 +512,7 @@ def s_delta(delta, recipe: str = "concat", s_max: int = 4096) -> int:
 
     Scans s upward; raises InfeasibleCodeError when no s <= s_max works.
     """
-    delta = Fraction(delta).limit_denominator(10**6)
+    delta = Fraction(delta)
     for s in range(1, s_max + 1):
         try:
             code_shape(s, delta, recipe, 3 * s)

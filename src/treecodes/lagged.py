@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 from .core import BLANK, FixedBits
 from .ecc import CodeSpecC
 from .linearcode import BoostParams
-from .packing import BoostedPackedParams, PackedCodeParams
+from .packing import Packing, packing_for
 
 
 @dataclass(frozen=True)
@@ -51,36 +51,32 @@ class LaggedParams:
             raise ValueError("ell must be a multiple of s with ell/s >= 2")
         if self.spec.s != self.s:
             raise ValueError("block code emits %d symbols, need %d" % (self.spec.s, self.s))
-        expected = (
-            3 * self.s
-            if self.boost is None
-            else BoostedPackedParams(self.s, self.boost).symbol_bits
-        )
-        if self.spec.input_bits != expected:
+        if self.spec.input_bits != self.packer.symbol_bits:
             raise ValueError(
                 "block code consumes %d bits, packed symbols have %d"
-                % (self.spec.input_bits, expected)
+                % (self.spec.input_bits, self.packer.symbol_bits)
             )
 
     @property
     def a(self) -> int:
         return self.ell // self.s
 
+    @property
+    def packer(self) -> Packing:
+        """The packing of these params (packing.packing_for)."""
+        return packing_for(self.s, self.boost)
+
     @cached_property
     def level(self) -> "LevelCore":
         """The level of these params, made on first use and shared by every
         encoder built from them, so they share one symbol table."""
-        return LevelCore(self.s, self.spec.c_delta, self.boost, lambda: self.spec)
+        return LevelCore(self.packer, self.spec.c_delta, lambda: self.spec)
 
     def distance_bound(self) -> Fraction:
-        """The guaranteed ell-lagged distance delta*(1/2 - 3/(2a)) of the
-        truncated and untruncated encoders (base*(...) for boosted base)."""
-        base = (
-            Fraction(1, 2)
-            if self.boost is None
-            else Fraction(self.boost.r, self.boost.r + self.boost.s)
-        )
-        return self.spec.provable_delta * (base - Fraction(3, 2 * self.a))
+        """The guaranteed ell-lagged distance delta*(base - 3/(2a)) of the
+        truncated and untruncated encoders, base the packing's distance
+        (1/2, or r/(r+1) boosted)."""
+        return self.spec.provable_delta * (self.packer.base_distance - Fraction(3, 2 * self.a))
 
 
 # A level interns its FixedBits symbols in a direct-mapped table of
@@ -90,22 +86,22 @@ INTERN_BITS = 10
 
 
 class LevelCore:
-    """What every instance of one lagged code shares: the block width s,
-    the instance period h = s^2/2, the symbol width c_delta, the packing,
-    the block code, built by make_spec when the first block completes
-    (so a wide code is never built for a stream too short to need it), and
-    the table of interned symbols."""
+    """What every instance of one lagged code shares: the packing (of block
+    width s), the instance period h = s^2/2, the symbol width c_delta, the
+    block code, built by make_spec when the first block completes (so a
+    wide code is never built for a stream too short to need it), and the
+    table of interned symbols."""
 
     __slots__ = ("s", "h", "c_delta", "packer", "spec", "make_spec", "symbols", "symbol_mask")
 
     def __init__(
-        self, s: int, c_delta: int, boost: Optional[BoostParams],
-        make_spec: Callable[[], CodeSpecC],
+        self, packer: Packing, c_delta: int, make_spec: Callable[[], CodeSpecC],
     ):
+        s = packer.s
         self.s = s
         self.h = s * s // 2
         self.c_delta = c_delta
-        self.packer = PackedCodeParams(s) if boost is None else BoostedPackedParams(s, boost)
+        self.packer = packer
         self.spec: Optional[CodeSpecC] = None
         self.make_spec = make_spec
         self.symbol_mask = (1 << min(c_delta, INTERN_BITS)) - 1

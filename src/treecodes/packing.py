@@ -9,13 +9,17 @@ The boosted variant replaces the (a_i, b_i) pair with the zero-padded
 (s_int, r) integer code over wider coordinates; it is used only by the
 arbitrary-distance pipeline.  Both packings run on the online Pascal
 kernel; the `pack` method of each params class is the raw step that the
-encoders here and the lagged core share.
+encoders here and the lagged core share.  `packing_for` is the one place
+that picks a level's packing, and with it the input width of its block
+code (`symbol_bits`) and the distance of its base code (`base_distance`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import FixedBits
 from .linearcode import BoostParams, pascal_step
@@ -39,6 +43,11 @@ class PackedCodeParams:
     def symbol_bits(self) -> int:
         return 3 * self.s
 
+    @property
+    def base_distance(self) -> Fraction:
+        """Distance of the integer tree code under this packing."""
+        return Fraction(1, 2)
+
     def pack(self, diffs: List[int], a: int) -> Tuple[List[int], int]:
         """Feed block value a to the Pascal kernel state diffs; return the
         new state and the packed symbol a || b as an int."""
@@ -53,7 +62,7 @@ class StreamEncoderBlockTc:
     BoostedPackedParams the boosted ones.  At most s blocks are accepted.
     """
 
-    def __init__(self, params: PackedCodeParams):
+    def __init__(self, params: Packing):
         self.params = params
         self.blocks = 0
         self.diffs: List[int] = []
@@ -81,7 +90,7 @@ class StreamEncoderBlockTc:
         return other
 
 
-def encode_block_tc(params: PackedCodeParams, blocks: Sequence) -> Tuple[FixedBits, ...]:
+def encode_block_tc(params: Packing, blocks: Sequence) -> Tuple[FixedBits, ...]:
     """Encode up to s blocks of s bits each into 3s-bit symbols, or into
     the wider symbols of a BoostedPackedParams."""
     if len(blocks) > params.s:
@@ -119,6 +128,11 @@ class BoostedPackedParams:
     def symbol_bits(self) -> int:
         return (self.boost.r + 1) * self.coord_bits
 
+    @property
+    def base_distance(self) -> Fraction:
+        """Distance r/(r+1) of the zero-padded integer code."""
+        return Fraction(self.boost.r, self.boost.r + 1)
+
     def pack(self, diffs: List[int], a: int) -> Tuple[List[int], int]:
         """Feed a and then r zeros to the Pascal kernel state diffs; return
         the new state and the r+1 coordinates packed into one int."""
@@ -132,6 +146,12 @@ class BoostedPackedParams:
         return diffs, value
 
 
-# One encoder serves both codes: its BoostedPackedParams does the packing.
-StreamEncoderBoostedBlockTc = StreamEncoderBlockTc
-encode_boosted_block_tc = encode_block_tc
+Packing = Union[PackedCodeParams, BoostedPackedParams]
+
+
+@lru_cache(maxsize=None)
+def packing_for(s: int, boost: Optional[BoostParams]) -> Packing:
+    """The packing of a block width s: the plain 3s-bit one, or the boosted
+    one when boost is given (which refuses a boost other than (1, r)).
+    Packings are immutable, so one per (s, boost) serves the process."""
+    return PackedCodeParams(s) if boost is None else BoostedPackedParams(s, boost)

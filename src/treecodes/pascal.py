@@ -70,10 +70,6 @@ class MinorIndexPair:
             if any(a >= b for a, b in zip(seq, seq[1:])):
                 raise ValueError("index sets must be strictly increasing")
 
-    @property
-    def size(self) -> int:
-        return len(self.I)
-
     def is_staircase(self) -> bool:
         return all(i >= j for i, j in zip(self.I, self.J))
 

@@ -38,7 +38,7 @@ from .core import AlphabetDescriptor, FixedBits, SymbolTuple
 from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c, code_shape
 from .lagged import LaggedSymbol, LevelCore, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
-from .packing import BoostedPackedParams
+from .packing import packing_for
 
 
 class ScheduleError(ValueError):
@@ -127,27 +127,19 @@ class PipelineConfig:
             raise ValueError("n must be at least a*s_min")
         if self.recipe not in ("rs", "concat"):
             raise ValueError("recipe must be 'rs' or 'concat'")
-        if self.boost is not None and self.boost.s != 1:
-            raise ValueError("pipeline boosting uses (1, r) boost parameters")
+        packing_for(self.s_min, self.boost)  # refuses a boost the packing cannot take
 
     @property
     def window_bits(self) -> int:
         return self.a * self.s_min + 1
 
     def base_distance(self) -> Fraction:
-        """r/(r+s) of the packed base code (1/2 without boosting)."""
-        if self.boost is None:
-            return Fraction(1, 2)
-        return Fraction(self.boost.r, self.boost.r + self.boost.s)
+        """The packed base code's distance: 1/2, or r/(r+1) boosted."""
+        return packing_for(self.s_min, self.boost).base_distance
 
     def declared_distance(self) -> Fraction:
         """The composed guarantee delta*(base - 3/(2a))."""
         return self.delta * (self.base_distance() - Fraction(3, 2 * self.a))
-
-    def level_input_bits(self, s: int) -> int:
-        if self.boost is None:
-            return 3 * s
-        return BoostedPackedParams(s, self.boost).symbol_bits
 
     @cached_property
     def _schedule(self) -> Schedule:
@@ -181,7 +173,7 @@ class PipelineConfig:
 def level_c_delta(config: PipelineConfig, s: int) -> int:
     """Per-symbol bit width of the level's block code, by arithmetic alone
     (no generator construction)."""
-    return code_shape(s, config.delta, config.recipe, config.level_input_bits(s))[1]
+    return code_shape(s, config.delta, config.recipe, packing_for(s, config.boost).symbol_bits)[1]
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +198,9 @@ class FinalSymbol:
 
 
 def _level_core(config: PipelineConfig, s: int) -> LevelCore:
-    code = partial(level_code, s, config.delta, config.recipe, config.seed,
-                   config.level_input_bits(s))
-    return LevelCore(s, level_c_delta(config, s), config.boost, code)
+    packer = packing_for(s, config.boost)
+    code = partial(level_code, s, config.delta, config.recipe, config.seed, packer.symbol_bits)
+    return LevelCore(packer, level_c_delta(config, s), code)
 
 
 class PipelineEncoder:
@@ -353,30 +345,27 @@ def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
     return AlphabetDescriptor(i, total, tuple(structure))
 
 
-def boosted_config(
-    eta,
-    n: int = 1 << 14,
-    s_min: int = 16,
-    recipe: str = "rs",
-    seed: int = 0,
-) -> PipelineConfig:
+def boosted_config(eta, n: int = 1 << 14) -> PipelineConfig:
     """A configuration whose declared distance reaches eta.
 
     For eta up to the default guarantee 1/16 the standard constants are
     returned; beyond it the boost r, the block-code distance and the lag
     ratio a are raised so that delta*(r/(r+1) - 3/(2a)) >= eta.
 
-    No configuration returned for eta > 1/16 can be encoded yet: it has
-    delta > 2/3 and r >= 3, so the RS level code needs field degree
-    m >= (r+1)(r+2)/(1-delta) >= 60 (the cap is 24) and the concatenated
-    recipe refuses delta >= 1/2; PipelineEncoder raises InfeasibleCodeError.
-    A hand-built PipelineConfig(n, delta=1/4, boost=BoostParams(1, 2))
-    encodes, with declared distance 5/48.
+    No configuration returned for eta > 1/16 can be encoded yet, and
+    PipelineEncoder refuses each at construction.  Up to eta < 11/20
+    (checked at eta = k/100) it has delta > 2/3 and r >= 3, so the RS level
+    code needs field degree m >= (r+1)(r+2)/(1-delta) >= 60 (the cap is
+    24): InfeasibleCodeError.  From eta = 11/20 on it has a >= 8, so
+    ell_1 = a*s_min >= s_min^2/2 and the schedule stalls at level 1
+    (ScheduleError) before any level code is sized.  A hand-built
+    PipelineConfig(n, delta=1/4, boost=BoostParams(1, 2)) encodes, with
+    declared distance 5/48.
     """
     eta = Fraction(eta)
     if not 0 <= eta < 1:
         raise ValueError("eta must be in [0, 1)")
-    default = PipelineConfig(n=n, recipe=recipe, seed=seed, s_min=s_min)
+    default = PipelineConfig(n=n)
     if eta <= default.declared_distance():
         return default
     target = 1 - (1 - eta) / 3  # both r/(r+1) and delta must reach this
@@ -387,9 +376,6 @@ def boosted_config(
     if slack <= 0:
         raise ValueError("no lag ratio can reach eta=%s" % eta)
     a = max(2, math.ceil(Fraction(3, 2) / slack))
-    config = PipelineConfig(
-        n=n, delta=delta, a=a, s_min=s_min, recipe=recipe, seed=seed,
-        boost=BoostParams(1, r),
-    )
+    config = PipelineConfig(n=n, delta=delta, a=a, boost=BoostParams(1, r))
     assert config.declared_distance() >= eta
     return config

@@ -34,7 +34,6 @@ from treecodes.packing import (
     BoostedPackedParams,
     PackedCodeParams,
     StreamEncoderBlockTc,
-    StreamEncoderBoostedBlockTc,
 )
 from treecodes.pascal import (
     LowerTriangularMatrix,
@@ -351,7 +350,7 @@ def test_criterion_12_online_everywhere():
         ("tc_a_sr", lambda: StreamEncoderTcASr(P, BoostParams(1, 1)), tuple_block_pair, 16),
         ("int_tree", lambda: StreamEncoderIntTreeCode(16), int_pair, 16),
         ("block_tc", lambda: StreamEncoderBlockTc(PackedCodeParams(4)), block_pair(4), 4),
-        ("boosted_block", lambda: StreamEncoderBoostedBlockTc(boost_params), block_pair(2), 2),
+        ("boosted_block", lambda: StreamEncoderBlockTc(boost_params), block_pair(2), 2),
         ("truncated", lambda: StreamEncoderTruncatedLagged(lag_params), bit_pair, 16),
         ("untruncated", lambda: StreamEncoderUntruncatedLagged(lag_params), bit_pair, 30),
         ("pipeline", lambda: PipelineEncoder(pipe_cfg), bit_pair, 30),

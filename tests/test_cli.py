@@ -35,6 +35,12 @@ def test_search_tns(capsys):
     assert out.strip().splitlines()[0] in ("1", "-1")
 
 
+def test_encode_chs_has_no_seed(capsys):
+    # The CLI builds RS level codes only, and they read no seed.
+    assert main(["encode-chs", "--n", "100", "--seed", "7"]) == 1
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_encode_int_stream(tmp_path, capsys):
     inp = tmp_path / "vals.txt"
     inp.write_text("3\n1\n4\n")

@@ -32,7 +32,6 @@ from treecodes.packing import (
     BoostedPackedParams,
     PackedCodeParams,
     encode_block_tc,
-    encode_boosted_block_tc,
 )
 from treecodes.pascal import LowerTriangularMatrix, pascal_matrix
 from treecodes.pipeline import PipelineConfig, PipelineEncoder, alphabet_at
@@ -155,7 +154,7 @@ def boosted_block_tc_lines():
         for r in (1, 2, 3):
             params = BoostedPackedParams(s, BoostParams(1, r))
             blocks = [[rng.randrange(2) for _ in range(s)] for _ in range(s)]
-            lines.append(" ".join(serialize_symbol(v) for v in encode_boosted_block_tc(params, blocks)))
+            lines.append(" ".join(serialize_symbol(v) for v in encode_block_tc(params, blocks)))
     return lines
 
 

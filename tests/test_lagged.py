@@ -37,6 +37,9 @@ def test_params_validation():
     spec8 = build_code_c(8, Fraction(1, 4), "rs")
     with pytest.raises(ValueError):
         LaggedParams(4, 8, spec8)  # block code width mismatch
+    # A block code sized for the plain packing under a boosted level.
+    with pytest.raises(ValueError, match="consumes 6 bits, packed symbols have 12"):
+        LaggedParams(2, 4, build_code_c(2, 0, "rs"), boost=BoostParams(1, 1))
 
 
 def test_distance_bound_formula():

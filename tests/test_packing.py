@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +10,8 @@ from treecodes.packing import (
     BoostedPackedParams,
     PackedCodeParams,
     StreamEncoderBlockTc,
-    StreamEncoderBoostedBlockTc,
     encode_block_tc,
-    encode_boosted_block_tc,
+    packing_for,
 )
 from treecodes.linearcode import BoostParams
 
@@ -83,7 +83,7 @@ def test_boosted_packed_widths_and_values():
     params = BoostedPackedParams(2, BoostParams(1, 2))
     assert params.coord_bits == 8
     assert params.symbol_bits == 24
-    out = encode_boosted_block_tc(params, [[1, 0], [1, 1]])
+    out = encode_block_tc(params, [[1, 0], [1, 1]])
     # First block packs a=2; padded input (2,0,0) under Pascal rows.
     assert out[0].value == (2 << 16) | (2 << 8) | 2
     padded = [2, 0, 0, 3, 0, 0]
@@ -99,9 +99,24 @@ def test_boosted_packed_requires_unit_boost_block():
         BoostedPackedParams(4, BoostParams(2, 1))
 
 
+@pytest.mark.parametrize("s", [1, 2, 5, 16])
+def test_packing_for_picks_widths_and_base_distance(s):
+    plain = packing_for(s, None)
+    assert plain == PackedCodeParams(s)
+    assert plain.symbol_bits == 3 * s
+    assert plain.base_distance == Fraction(1, 2)
+    for r in (1, 2, 3):
+        boosted = packing_for(s, BoostParams(1, r))
+        assert boosted == BoostedPackedParams(s, BoostParams(1, r))
+        assert boosted.symbol_bits == (r + 1) * (r + 2) * s
+        assert boosted.base_distance == Fraction(r, r + 1)
+    with pytest.raises(ValueError):
+        packing_for(s, BoostParams(2, 1))
+
+
 def test_boosted_packed_clone():
     params = BoostedPackedParams(2, BoostParams(1, 1))
-    enc = StreamEncoderBoostedBlockTc(params)
+    enc = StreamEncoderBlockTc(params)
     enc.push([1, 1])
     other = enc.clone()
     assert enc.push([0, 1]) == other.push([0, 1])

@@ -12,6 +12,7 @@ from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
 from treecodes.ecc import InfeasibleCodeError, build_code_c
 from treecodes.lagged import INTERN_BITS, UntruncatedCore
 from treecodes.linearcode import BoostParams
+from treecodes.packing import packing_for
 from treecodes.pipeline import (
     PipelineConfig,
     PipelineEncoder,
@@ -178,9 +179,24 @@ def test_level_codes_built_once_per_process(monkeypatch):
     # The level codes keep no memo: their wide inputs rarely repeat.
     for lv in build_schedule(cfg.n).levels:
         spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe, cfg.seed,
-                                   cfg.level_input_bits(lv.s))
+                                   packing_for(lv.s, cfg.boost).symbol_bits)
         assert not spec._memo
     assert len(calls) == 5
+
+
+def test_delta_with_a_large_denominator_encodes():
+    # The width lookup and the build size each level's code from the same,
+    # exact delta, whatever its denominator.
+    cfg = PipelineConfig(n=200, delta=Fraction(1, 4) + Fraction(1, 10**7))
+    enc = PipelineEncoder(cfg)
+    rng = random.Random(16)
+    for _ in range(cfg.n):
+        enc.push(rng.randrange(2))
+    for lv in build_schedule(cfg.n).levels:
+        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe, cfg.seed,
+                                   packing_for(lv.s, cfg.boost).symbol_bits)
+        assert level_c_delta(cfg, lv.s) == spec.c_delta
+        assert spec.provable_delta >= cfg.delta
 
 
 def test_level_code_built_on_first_completed_block(monkeypatch):
@@ -448,6 +464,19 @@ def test_boosted_config_thresholds():
     assert half.declared_distance() >= Fraction(1, 2)
     with pytest.raises(ValueError):
         boosted_config(Fraction(3, 2))
+
+
+def test_pipeline_refuses_a_boost_the_packing_cannot_take():
+    with pytest.raises(ValueError):
+        PipelineConfig(n=1000, boost=BoostParams(2, 1))
+
+
+def test_boosted_config_stalls_from_eleven_twentieths():
+    # From eta = 11/20 on a >= 8, so ell_1 = a*s_min >= s_min^2/2.
+    cfg = boosted_config(Fraction(11, 20))
+    assert cfg.a >= 8
+    with pytest.raises(ScheduleError, match="stalls at level 1"):
+        PipelineEncoder(cfg)
 
 
 def test_boosted_config_monotone_sampled():
