@@ -21,7 +21,6 @@ from .ecc import (
     InnerCode,
     RSParams,
     build_code_c,
-    code_shape,
     find_inner_code,
     s_delta,
 )
@@ -80,7 +79,6 @@ from .verify import (
     BoundCheck,
     DistanceReport,
     ToeplitzCode,
-    brute_force_split0_min,
     entropy_hr,
     is_mds,
     lagged_distance,

@@ -196,7 +196,35 @@ class CodeSpecC:
     recipe: str  # "rs" | "concat"
     outer: RSParams
     inner: Optional[InnerCode]
-    generator_rows: tuple  # input_bits rows of s*c_delta-bit ints
+
+    @cached_property
+    def generator_rows(self) -> tuple:
+        """input_bits rows of s*c_delta-bit ints, built on first use (the
+        descriptor of a wide code is cheap; its rows may not be)."""
+        outer, inner = self.outer, self.inner
+        rows = _build_rows_rs(outer, self.input_bits)
+        if inner is None:
+            # The built rows lie among the build's freed temporaries; their
+            # copies (r << 0 is a new int) are allocated one after another.
+            # The wide encode_int pass reads about half the rows of each
+            # block, and at s = 588 it took about 1.2x as long on the
+            # scattered rows once the work between two blocks had evicted
+            # them (stream benchmark).
+            return tuple([r << 0 for r in rows])
+        # Concatenate: split each outer row into its m_out-bit symbols, as a
+        # codeword of the outer code on its own, and replace each symbol by
+        # its inner codeword (n_in = 8 m_out bits, whole bytes); the
+        # n_outer*n_in bits are left-aligned in the s*c-bit frame.
+        split = CodeSpecC(outer.n_code, outer.m, self.input_bits,
+                          Fraction(outer.distance, outer.n_code), "rs", outer, None).split_codeword
+        inner_bytes = [inner.encode(v).to_bytes(inner.n_in // 8, "big")
+                       for v in range(1 << outer.m)]
+        pad = self.s * self.c_delta - outer.n_code * inner.n_in
+        concatenated = []
+        for row in rows:
+            joined = b"".join([inner_bytes[v] for v in split(row)])
+            concatenated.append(int.from_bytes(joined, "big") << pad)
+        return tuple(concatenated)
 
     @cached_property
     def _memo(self) -> Optional[dict]:
@@ -406,10 +434,16 @@ def build_code_c(
 ) -> CodeSpecC:
     """Construct the block code for width-s symbols at target distance delta.
 
+    The recipe picks the outer Reed-Solomon code and the symbol width
+    c_delta by arithmetic (the concatenated recipe also searches its inner
+    code, whose verified distance enters provable_delta); the generator
+    rows are built on first use.
+
     Raises InfeasibleCodeError when no parameterization reaches the target
     (for the concatenated recipe the fixed inner distance 0.3 caps the
     product bound; any target needing inner distance >= 1/2 is impossible
-    for positive-rate binary codes by the Plotkin bound).
+    for positive-rate binary codes by the Plotkin bound), and ValueError
+    for an unknown recipe.
     """
     delta = Fraction(delta)
     if not 0 <= delta < 1:
@@ -418,51 +452,14 @@ def build_code_c(
         raise ValueError("s must be positive")
     if input_bits is None:
         input_bits = 3 * s
-    outer, c = code_shape(s, delta, recipe, input_bits)
     if recipe == "rs":
-        # The built rows lie among the build's freed temporaries; their
-        # copies (r << 0 is a new int) are allocated one after another.  The
-        # wide encode_int pass reads about half the rows of each block, and
-        # at s = 588 it took about 1.2x as long on the scattered rows once
-        # the work between two blocks had evicted them (stream benchmark).
-        rows = tuple([r << 0 for r in _build_rows_rs(outer, input_bits)])
-        return CodeSpecC(s, c, input_bits, Fraction(outer.distance, s), "rs", outer, None, rows)
-    m_out, n_outer = outer.m, outer.n_code
-    n_in = INNER_EXPANSION * m_out
-    inner = find_inner_code(m_out, n_in, INNER_DELTA, seed)
-    provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)
-    if provable < delta:
-        raise InfeasibleCodeError("provable delta %s below target %s" % (provable, delta))
-    # Concatenate: split each outer row into its m_out-bit symbols, as a
-    # codeword of the outer code on its own, and replace each symbol by its
-    # inner codeword (n_in = 8 m_out bits, whole bytes); the n_outer*n_in
-    # bits are left-aligned in the s*c-bit frame.
-    outer_code = CodeSpecC(n_outer, m_out, input_bits, Fraction(outer.distance, n_outer),
-                           "rs", outer, None, _build_rows_rs(outer, input_bits))
-    inner_bytes = [inner.encode(v).to_bytes(n_in // 8, "big") for v in range(1 << m_out)]
-    pad = s * c - n_outer * n_in
-    rows = []
-    for row in outer_code.generator_rows:
-        joined = b"".join([inner_bytes[v] for v in outer_code.split_codeword(row)])
-        rows.append(int.from_bytes(joined, "big") << pad)
-    return CodeSpecC(s, c, input_bits, provable, "concat", outer, inner, tuple(rows))
-
-
-def code_shape(s: int, delta: Fraction, recipe: str, input_bits: int) -> Tuple[RSParams, int]:
-    """The outer Reed-Solomon code and symbol width c_delta that
-    build_code_c picks, by arithmetic alone (no rows, no inner code).
-
-    Raises InfeasibleCodeError when the recipe cannot reach delta at s, and
-    ValueError for an unknown recipe.
-    """
-    if recipe == "rs":
-        params = _rs_recipe_params(input_bits, s, delta)
-        if params.distance * delta.denominator < delta.numerator * s:
+        outer = _rs_recipe_params(input_bits, s, delta)
+        provable = Fraction(outer.distance, s)
+        if provable < delta:
             raise InfeasibleCodeError(
-                "RS recipe reaches delta %s < target %s at s=%d"
-                % (Fraction(params.distance, s), delta, s)
+                "RS recipe reaches delta %s < target %s at s=%d" % (provable, delta, s)
             )
-        return params, params.m
+        return CodeSpecC(s, outer.m, input_bits, provable, "rs", outer, None)
     if recipe != "concat":
         raise ValueError("unknown recipe %r" % recipe)
     if delta >= Fraction(1, 2):
@@ -477,7 +474,12 @@ def code_shape(s: int, delta: Fraction, recipe: str, input_bits: int) -> Tuple[R
             % (INNER_DELTA, delta, s)
         )
     m_out, n_outer, c = choice
-    return RSParams(m_out, math.ceil(input_bits / m_out), n_outer), c
+    outer = RSParams(m_out, math.ceil(input_bits / m_out), n_outer)
+    inner = find_inner_code(m_out, INNER_EXPANSION * m_out, INNER_DELTA, seed)
+    provable = Fraction(math.ceil(outer.distance * inner.verified_distance / c), s)
+    if provable < delta:
+        raise InfeasibleCodeError("provable delta %s below target %s" % (provable, delta))
+    return CodeSpecC(s, c, input_bits, provable, "concat", outer, inner)
 
 
 def _best_concat_params(input_bits: int, s: int, delta: Fraction):
@@ -510,13 +512,14 @@ def _best_concat_params(input_bits: int, s: int, delta: Fraction):
 def s_delta(delta, recipe: str = "concat", s_max: int = 4096) -> int:
     """Smallest s for which the recipe's provable distance reaches delta.
 
-    Scans s upward; raises InfeasibleCodeError when no s <= s_max works.
+    Scans build_code_c upward in s (descriptors only, no rows); raises
+    InfeasibleCodeError when no s <= s_max works, and ValueError where
+    build_code_c does (delta outside [0, 1), an unknown recipe).
     """
-    delta = Fraction(delta)
     for s in range(1, s_max + 1):
         try:
-            code_shape(s, delta, recipe, 3 * s)
+            build_code_c(s, delta, recipe)
         except InfeasibleCodeError:
             continue
         return s
-    raise InfeasibleCodeError("no s <= %d reaches delta %s" % (s_max, delta))
+    raise InfeasibleCodeError("no s <= %d reaches delta %s" % (s_max, Fraction(delta)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import BLANK, FixedBits
 from .ecc import CodeSpecC
@@ -70,7 +70,7 @@ class LaggedParams:
     def level(self) -> "LevelCore":
         """The level of these params, made on first use and shared by every
         encoder built from them, so they share one symbol table."""
-        return LevelCore(self.packer, self.spec.c_delta, lambda: self.spec)
+        return LevelCore(self)
 
     def distance_bound(self) -> Fraction:
         """The guaranteed ell-lagged distance delta*(base - 3/(2a)) of the
@@ -86,35 +86,23 @@ INTERN_BITS = 10
 
 
 class LevelCore:
-    """What every instance of one lagged code shares: the packing (of block
-    width s), the instance period h = s^2/2, the symbol width c_delta, the
-    block code, built by make_spec when the first block completes (so a
-    wide code is never built for a stream too short to need it), and the
+    """What every instance of one lagged code shares: the block width s,
+    the instance period h = s^2/2, the symbol width c_delta, the packing,
+    the block code (whose rows are built when the first block completes, so
+    a wide code is never built for a stream too short to need it), and the
     table of interned symbols."""
 
-    __slots__ = ("s", "h", "c_delta", "packer", "spec", "make_spec", "symbols", "symbol_mask")
+    __slots__ = ("s", "h", "c_delta", "packer", "spec", "symbols", "symbol_mask")
 
-    def __init__(
-        self, packer: Packing, c_delta: int, make_spec: Callable[[], CodeSpecC],
-    ):
-        s = packer.s
+    def __init__(self, params: LaggedParams):
+        s = params.s
         self.s = s
         self.h = s * s // 2
-        self.c_delta = c_delta
-        self.packer = packer
-        self.spec: Optional[CodeSpecC] = None
-        self.make_spec = make_spec
-        self.symbol_mask = (1 << min(c_delta, INTERN_BITS)) - 1
+        self.spec = params.spec
+        self.c_delta = params.spec.c_delta
+        self.packer = params.packer
+        self.symbol_mask = (1 << min(self.c_delta, INTERN_BITS)) - 1
         self.symbols: List[Optional[FixedBits]] = [None] * (self.symbol_mask + 1)
-
-    def code(self) -> CodeSpecC:
-        if self.spec is None:
-            spec = self.make_spec()
-            if spec.c_delta != self.c_delta:
-                raise AssertionError("block code symbols have %d bits, expected %d"
-                                     % (spec.c_delta, self.c_delta))
-            self.spec = spec
-        return self.spec
 
     def symbol(self, value: int) -> FixedBits:
         """FixedBits(c_delta, value), interned.
@@ -196,7 +184,7 @@ class UntruncatedCore:
         into each live instance, older first, and encode its codeword."""
         lv = self.level
         pack = lv.packer.pack
-        symbols_for = lv.code().symbols_for
+        symbols_for = lv.spec.symbols_for
         if self.old_diffs is not None:
             self.old_diffs, packed = pack(self.old_diffs, block)
             self.old_word = symbols_for(packed)

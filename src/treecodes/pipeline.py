@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import List, Optional, Tuple
 
 from .core import AlphabetDescriptor, FixedBits, SymbolTuple
-from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c, code_shape
-from .lagged import LaggedSymbol, LevelCore, UntruncatedCore, lagged_symbol
+from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c
+from .lagged import LaggedParams, LaggedSymbol, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
 from .packing import packing_for
 
@@ -112,7 +112,6 @@ class PipelineConfig:
     a: int = 6
     s_min: int = 16
     recipe: str = "rs"
-    seed: int = 0
     boost: Optional[BoostParams] = None
 
     def __post_init__(self):
@@ -146,6 +145,19 @@ class PipelineConfig:
         return build_schedule(self.n, self.s_min, self.a)
 
     @cached_property
+    def _levels(self) -> Tuple[LaggedParams, ...]:
+        """The lagged code of each schedule level, in order of increasing s:
+        block width s_g, lag ell_g = a*s_g and the level's block code (its
+        rows not yet built).  Raises InfeasibleCodeError when a level's
+        block code is infeasible."""
+        levels = []
+        for lv in self._schedule.levels:
+            code = level_code(lv.s, self.delta, self.recipe,
+                              packing_for(lv.s, self.boost).symbol_bits)
+            levels.append(LaggedParams(lv.s, lv.ell, code, self.boost))
+        return tuple(levels)
+
+    @cached_property
     def _layout(self) -> tuple:
         """(window bits, levels) for alphabet_at: per schedule level, in
         order of increasing s, the tuple (s, h, c_delta, "Lg.left",
@@ -169,18 +181,18 @@ class PipelineConfig:
         return self.window_bits, tuple(levels)
 
 
-@lru_cache(maxsize=None)
 def level_c_delta(config: PipelineConfig, s: int) -> int:
-    """Per-symbol bit width of the level's block code, by arithmetic alone
-    (no generator construction)."""
-    return code_shape(s, config.delta, config.recipe, packing_for(s, config.boost).symbol_bits)[1]
+    """Per-symbol bit width of the level's block code (its rows are not
+    built)."""
+    return level_code(s, config.delta, config.recipe,
+                      packing_for(s, config.boost).symbol_bits).c_delta
 
 
 @lru_cache(maxsize=None)
-def level_code(s: int, delta: Fraction, recipe: str, seed: int, input_bits: int) -> CodeSpecC:
-    """The block code of a level, built on first use and shared by every
-    encoder and clone in the process with the same code parameters."""
-    return build_code_c(s, delta, recipe, seed, input_bits=input_bits)
+def level_code(s: int, delta: Fraction, recipe: str, input_bits: int) -> CodeSpecC:
+    """The block code of a level, shared by every encoder and clone in the
+    process with the same code parameters, so its rows are built once."""
+    return build_code_c(s, delta, recipe, input_bits=input_bits)
 
 
 @dataclass(frozen=True)
@@ -195,12 +207,6 @@ class FinalSymbol:
         return SymbolTuple(
             (self.window,) + tuple([SymbolTuple((lv.left, lv.right)) for lv in self.levels])
         )
-
-
-def _level_core(config: PipelineConfig, s: int) -> LevelCore:
-    packer = packing_for(s, config.boost)
-    code = partial(level_code, s, config.delta, config.recipe, config.seed, packer.symbol_bits)
-    return LevelCore(packer, level_c_delta(config, s), code)
 
 
 class PipelineEncoder:
@@ -229,7 +235,7 @@ class PipelineEncoder:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.schedule = config._schedule
-        self.levels = [UntruncatedCore(_level_core(config, lv.s)) for lv in self.schedule.levels]
+        self.levels = [UntruncatedCore(params.level) for params in config._levels]
         self.n = config.n
         self.wbits = config.window_bits
         self.wmask = (1 << self.wbits) - 1

@@ -372,22 +372,18 @@ def sample_toeplitz_code(q: int, d: int, n: int, seed: int) -> ToeplitzCode:
 
 
 def toeplitz_weight_distance(
-    code: ToeplitzCode,
-    n_max: Optional[int] = None,
-    budget: int = 2_000_000,
-    stop_at=None,
+    code: ToeplitzCode, budget: int = 2_000_000, stop_at=None
 ) -> DistanceReport:
     """Exact field-level weight distance of the code over all non-zero
-    inputs of length <= n_max.
+    inputs of length <= code.n.
 
     stop_at, when given, aborts the scan as soon as the running minimum is
     <= stop_at (fail-fast for the sampling experiment); the report is then
     an upper bound witnessing the failure.
     """
-    n_max = code.n if n_max is None else n_max
     return _min_weight_ratio(
         lambda x: [c for sym in code.encode(x) for c in sym],
-        range(code.q), n_max, code.d, "k<=%d over F_%d" % (n_max, code.q), budget,
+        range(code.q), code.n, code.d, "k<=%d over F_%d" % (code.n, code.q), budget,
         None if stop_at is None else Fraction(stop_at),
     )
 
@@ -452,24 +448,3 @@ def verify_split0_lagged_bound(
         return BoundCheck(True, None, nodes)
     x1, x2, d = bad
     return BoundCheck(False, (x1, x2, d), nodes)
-
-
-def brute_force_split0_min(make_encoder: Callable, nbits: int) -> Fraction:
-    """Exact minimum distance/nbits over all split-0 pairs, by full
-    enumeration (cross-check oracle for the pruned search; tiny nbits only)."""
-    best = None
-    for x1 in range(1 << nbits):
-        for x2 in range(1 << nbits):
-            if (x1 ^ x2) >> (nbits - 1) != 1:
-                continue
-            e1, e2 = make_encoder(), make_encoder()
-            d = 0
-            for t in range(nbits):
-                s1 = e1.push((x1 >> (nbits - 1 - t)) & 1)
-                s2 = e2.push((x2 >> (nbits - 1 - t)) & 1)
-                if s1 != s2:
-                    d += 1
-            val = Fraction(d, nbits)
-            if best is None or val < best:
-                best = val
-    return best

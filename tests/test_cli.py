@@ -90,6 +90,15 @@ def test_ecc_build(capsys):
     assert record["c_delta"] == record["outer"]["m"]
 
 
+def test_ecc_build_prints_a_wide_code_without_its_rows(capsys):
+    # The generator rows of this code would take about 4.7 GB.
+    code, out = run_cli(capsys, "ecc", "build", "--s", "28812", "--delta", "1/4",
+                        "--recipe", "rs")
+    assert code == 0
+    record = json.loads(out.strip())
+    assert record["outer"] == {"m": 15, "k_msg": 5763, "n_code": 28812}
+
+
 def test_ecc_build_infeasible(capsys):
     code, _ = run_cli(capsys, "ecc", "build", "--s", "8", "--delta", "1/2",
                       "--recipe", "concat")

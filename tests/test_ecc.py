@@ -194,6 +194,19 @@ def test_build_code_c_validation():
         build_code_c(16, Fraction(1, 4), "bogus")
 
 
+def test_build_code_c_builds_its_rows_on_first_use():
+    # The rows of the rs code at s = 28,812 would take about 4.7 GB; its
+    # descriptor is arithmetic, and the concatenated one adds the inner
+    # code search.
+    assert "generator_rows" not in {f.name for f in dataclasses.fields(CodeSpecC)}
+    for s, recipe in ((28812, "rs"), (588, "concat")):
+        spec = build_code_c(s, Fraction(1, 4), recipe)
+        assert "generator_rows" not in vars(spec), (s, recipe)
+    spec = build_code_c(16, Fraction(1, 4), "concat")
+    spec.symbols_for(1)
+    assert "generator_rows" in vars(spec)
+
+
 def _best_concat_params_reference(input_bits, s, delta):
     # The full scan _best_concat_params cuts short, kept as the reference:
     # every outer length of every m_out, the smallest c_delta kept, the
@@ -234,6 +247,9 @@ def test_s_delta_refuses_what_build_code_c_refuses():
         s_delta(Fraction(1, 2), "concat", s_max=64)
     with pytest.raises(ValueError, match="unknown recipe"):
         s_delta(Fraction(1, 4), "bogus")
+    for delta in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
+            s_delta(delta, "rs", s_max=8)
 
 
 def test_s_delta_concat_reasonable():
@@ -339,7 +355,7 @@ def test_encode_int_is_the_xor_of_the_selected_rows():
 
     rng = random.Random(21)
     for recipe, s in (("rs", 588), ("concat", 588), ("rs", 84)):
-        spec = level_code(s, Fraction(1, 4), recipe, 0, 3 * s)
+        spec = level_code(s, Fraction(1, 4), recipe, 3 * s)
         w = spec.input_bits
         assert (spec._byte_tables == ()) == (w > 1024)
         xs = [0, 1, 1 << (w - 1), (1 << w) - 1] + [rng.getrandbits(w) for _ in range(6)]

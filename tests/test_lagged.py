@@ -18,7 +18,7 @@ from treecodes.lagged import (
 )
 from treecodes.linearcode import BoostParams
 from treecodes.packing import BoostedPackedParams
-from treecodes.pipeline import PipelineConfig, _level_core
+from treecodes.pipeline import PipelineConfig
 
 
 def toy_params(s=4, a=2):
@@ -196,7 +196,7 @@ class RefTruncatedCore:
         lv = self.level
         if cnt == lv.s:
             self.diffs, packed = lv.packer.pack(self.diffs, cur)
-            self.codeword = lv.code().symbols_for(packed)
+            self.codeword = lv.spec.symbols_for(packed)
             cur = cnt = 0
         self.cur = cur
         self.cnt = cnt
@@ -254,6 +254,11 @@ def random_bits(rng, n):
     return [int(c) for c in format(rng.getrandbits(n), "0%db" % n)]
 
 
+def pipeline_level(s):
+    """The level of block width s of the default n = 2^14 pipeline."""
+    return next(params.level for params in PipelineConfig(n=2**14)._levels if params.s == s)
+
+
 @pytest.mark.parametrize("s", [4, 6])
 def test_level_core_matches_per_instance_reference_toy(s):
     # Five instance periods: four rollovers, three of which retire an instance.
@@ -263,7 +268,7 @@ def test_level_core_matches_per_instance_reference_toy(s):
 
 @pytest.mark.parametrize("s", [16, 20, 32, 84])
 def test_level_core_matches_per_instance_reference_pipeline(s):
-    level = _level_core(PipelineConfig(n=2**14), s)
+    level = pipeline_level(s)
     assert_core_matches_reference(level, 5 * level.h, seed=s)
 
 
@@ -272,7 +277,7 @@ def test_level_core_matches_per_instance_reference_s588():
     # the golden digests cannot cover its rollover: drive the core directly
     # past both (positions h + 1 and s^2 + 1), two blocks beyond the second.
     s = 588
-    level = _level_core(PipelineConfig(n=2**14), s)
+    level = pipeline_level(s)
     assert_core_matches_reference(level, s * s + 2 * s, seed=588)
 
 

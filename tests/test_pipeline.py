@@ -178,7 +178,7 @@ def test_level_codes_built_once_per_process(monkeypatch):
     assert len(calls) == 5
     # The level codes keep no memo: their wide inputs rarely repeat.
     for lv in build_schedule(cfg.n).levels:
-        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe, cfg.seed,
+        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe,
                                    packing_for(lv.s, cfg.boost).symbol_bits)
         assert not spec._memo
     assert len(calls) == 5
@@ -193,15 +193,16 @@ def test_delta_with_a_large_denominator_encodes():
     for _ in range(cfg.n):
         enc.push(rng.randrange(2))
     for lv in build_schedule(cfg.n).levels:
-        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe, cfg.seed,
+        spec = pipeline.level_code(lv.s, cfg.delta, cfg.recipe,
                                    packing_for(lv.s, cfg.boost).symbol_bits)
         assert level_c_delta(cfg, lv.s) == spec.c_delta
         assert spec.provable_delta >= cfg.delta
 
 
 def test_level_code_built_on_first_completed_block(monkeypatch):
-    # At n = 10^6 the top level (s = 28,812) has no buildable code yet; the
-    # encoder must run up to the position before its first block completes.
+    # At n = 10^6 the top level (s = 28,812) has no buildable rows yet (about
+    # 4.7 GB); the encoder must run up to the position before its first
+    # block completes, with that level's rows never built.
     calls = []
     real = pipeline.build_code_c
 
@@ -215,7 +216,9 @@ def test_level_code_built_on_first_completed_block(monkeypatch):
     rng = random.Random(9)
     for _ in range(28811):
         enc.push_raw(rng.randrange(2))
-    assert sorted(calls) == [16, 20, 32, 84, 588]
+    assert sorted(calls) == [16, 20, 32, 84, 588, 28812]
+    built = ["generator_rows" in vars(core.level.spec) for core in enc.levels]
+    assert built == [True] * 5 + [False]
 
 
 def test_encode_final_matches_stream():
@@ -267,8 +270,7 @@ class _PerBitReference:
 
     def __init__(self, config):
         self.wbits = config.window_bits
-        self.levels = [UntruncatedCore(pipeline._level_core(config, lv.s))
-                       for lv in build_schedule(config.n, config.s_min, config.a).levels]
+        self.levels = [UntruncatedCore(params.level) for params in config._levels]
         self.pos = 0
         self.window = 0
 

@@ -18,7 +18,6 @@ from treecodes.verify import (
     SmallField,
     SUPPORTED_FIELD_SIZES,
     ToeplitzCode,
-    brute_force_split0_min,
     entropy_hr,
     get_field,
     is_mds,
@@ -166,6 +165,11 @@ def test_toeplitz_weight_distance_stop_at():
     assert full.value <= early.value
 
 
+def _split0_min(params, n):
+    # The pairs of length n at lag n are exactly those that split at 0.
+    return lagged_distance(lambda b: encode_truncated_lagged(params, b), n, n, (0, 1), n).value
+
+
 def test_split0_bound_check_matches_brute_force():
     spec = build_code_c(4, Fraction(1, 4), "rs")
     params = LaggedParams(4, 8, spec)
@@ -173,7 +177,7 @@ def test_split0_bound_check_matches_brute_force():
     def mk():
         return StreamEncoderTruncatedLagged(params)
 
-    true_min = brute_force_split0_min(mk, 8)
+    true_min = _split0_min(params, 8)
     ok = verify_split0_lagged_bound(mk, 8, 4, true_min)
     assert ok.ok
     too_high = verify_split0_lagged_bound(mk, 8, 4, true_min + Fraction(1, 8))
@@ -191,7 +195,7 @@ def test_split0_bound_check_prunes():
         return StreamEncoderTruncatedLagged(params)
 
     loose = verify_split0_lagged_bound(mk, 8, 4, Fraction(1, 100))
-    tight = verify_split0_lagged_bound(mk, 8, 4, brute_force_split0_min(mk, 8))
+    tight = verify_split0_lagged_bound(mk, 8, 4, _split0_min(params, 8))
     assert loose.ok and tight.ok
     assert loose.nodes <= tight.nodes
 
