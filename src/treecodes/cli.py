@@ -205,7 +205,7 @@ def _cmd_verify(args, out):
         params = LaggedParams(args.s, args.a * args.s, spec)
         report = lagged_distance(
             lambda bits: encode_truncated_lagged(params, bits),
-            args.a * args.s, args.s * args.s // 2, (0, 1), nmax,
+            params.ell, params.h, (0, 1), nmax,
         )
     elif args.mode == "toeplitz":
         code = sample_toeplitz_code(args.q, args.d, args.n, args.seed)
@@ -290,10 +290,10 @@ def main(argv=None) -> int:
     out = _open_out(args.output)
     try:
         return handler(args, out)
-    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
-        # Covers infeasible code parameters, schedule errors and
-        # enumerations larger than their budget.
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, ArithmeticError, BudgetExceededError, MemoryError) as exc:
+        # Covers infeasible code parameters, schedule errors, enumerations
+        # larger than their budget and block codes whose rows do not fit.
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the stream; not an error.

@@ -201,6 +201,13 @@ class CodeSpecC:
     def generator_rows(self) -> tuple:
         """input_bits rows of s*c_delta-bit ints, built on first use (the
         descriptor of a wide code is cheap; its rows may not be)."""
+        try:
+            return self._build_generator_rows()
+        except MemoryError:
+            raise MemoryError("the %d generator rows of the %s code at s=%d do not fit "
+                              "in memory" % (self.input_bits, self.recipe, self.s)) from None
+
+    def _build_generator_rows(self) -> tuple:
         outer, inner = self.outer, self.inner
         rows = _build_rows_rs(outer, self.input_bits)
         if inner is None:
@@ -237,7 +244,8 @@ class CodeSpecC:
         (input_bits <= MEMO_MAX_INPUT_BITS): exhaustive enumerations over
         small codes re-encode the same block inputs many times, while the
         wide pipeline level codes would only grow it, since they rarely
-        see an input twice.
+        see an input twice.  A memo miss goes through encode_int, which
+        refuses an input out of range, so a hit pays for no check.
         """
         memo = self._memo
         if memo is not None:
@@ -300,7 +308,11 @@ class CodeSpecC:
         return tuple(steps), nbytes, unpack
 
     def encode_int(self, x: int) -> int:
-        """Encode input_bits packed into an int; returns s*c_delta packed bits."""
+        """Encode input_bits packed into an int; returns s*c_delta packed
+        bits.  Raises ValueError for x outside [0, 2^input_bits), whose
+        extra bits both paths below would misread."""
+        if x < 0 or x >> self.input_bits:
+            raise ValueError("input must be in [0, 2^%d)" % self.input_bits)
         tables = self._byte_tables
         if tables:
             out = 0
@@ -341,6 +353,8 @@ class CodeSpecC:
             raise ValueError("input must be exactly %d bits" % self.input_bits)
         x = 0
         for b in bits:
+            if b != 0 and b != 1:
+                raise ValueError("input bit must be 0 or 1, got %r" % (b,))
             x = (x << 1) | b
         return self.symbols_for(x)
 

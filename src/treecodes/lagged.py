@@ -12,20 +12,19 @@ every h = s^2/2 positions, each living for 2h positions, so every output
 position carries a pair of short symbols -- one from each of the two
 overlapping instances (blank where an instance has not yet emitted).
 
-Both forms run on one raw-int core: `LevelCore` holds what the instances
-of one code share, and `UntruncatedCore` is the state of one level: the
-two overlapping instances, which share one block accumulator.  The
-truncated encoder is the same core with instance period s^2.  The pipeline
-drives the core through `complete`/`roll` at its events; the stream encoders
-here push bit by bit and only wrap its ints into BLANK, FixedBits and
-LaggedSymbol.
+Both forms run on one raw-int core: `LaggedParams` holds what the
+instances of one code share, and `UntruncatedCore` is the state of one
+level: the two overlapping instances, which share one block accumulator.
+The truncated encoder is the same core with instance period s^2.  The
+pipeline drives the core through `complete`/`roll` at its events; the
+stream encoders here push bit by bit and only wrap its ints into BLANK,
+FixedBits and LaggedSymbol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .core import BLANK, FixedBits
@@ -34,15 +33,32 @@ from .linearcode import BoostParams
 from .packing import Packing, packing_for
 
 
+# A level interns its FixedBits symbols in a direct-mapped table of
+# 2^min(c_delta, INTERN_BITS) entries, so the table is bounded whatever the
+# symbol width (rs levels have 5-17 bits, concat levels 63-539).
+INTERN_BITS = 10
+
+
 @dataclass(frozen=True)
 class LaggedParams:
-    """Block width s (even), minimum lag ell = a*s with a >= 2, and the
-    block code used to spread each packed symbol over its block."""
+    """One lagged level: block width s (even), minimum lag ell = a*s with
+    a >= 2, the block code that spreads each packed symbol over its block
+    (its rows are built when the first block completes), and what every
+    encoder of the level shares: the instance period h = s^2/2, the symbol
+    width c_delta, the packing and the table of interned symbols."""
 
     s: int
     ell: int
     spec: CodeSpecC
     boost: Optional[BoostParams] = None
+    # Set once in __post_init__: push, complete and symbol() read them on
+    # every call, and a plain attribute is the cheapest read (a
+    # cached_property table made symbol() about 1.5x slower).
+    h: int = field(init=False, repr=False, compare=False)
+    c_delta: int = field(init=False, repr=False, compare=False)
+    packer: Packing = field(init=False, repr=False, compare=False)
+    symbol_mask: int = field(init=False, repr=False, compare=False)
+    symbols: List[Optional[FixedBits]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 2 or self.s % 2:
@@ -51,58 +67,28 @@ class LaggedParams:
             raise ValueError("ell must be a multiple of s with ell/s >= 2")
         if self.spec.s != self.s:
             raise ValueError("block code emits %d symbols, need %d" % (self.spec.s, self.s))
-        if self.spec.input_bits != self.packer.symbol_bits:
+        packer = packing_for(self.s, self.boost)
+        if self.spec.input_bits != packer.symbol_bits:
             raise ValueError(
                 "block code consumes %d bits, packed symbols have %d"
-                % (self.spec.input_bits, self.packer.symbol_bits)
+                % (self.spec.input_bits, packer.symbol_bits)
             )
+        mask = (1 << min(self.spec.c_delta, INTERN_BITS)) - 1
+        object.__setattr__(self, "h", self.s * self.s // 2)
+        object.__setattr__(self, "c_delta", self.spec.c_delta)
+        object.__setattr__(self, "packer", packer)
+        object.__setattr__(self, "symbol_mask", mask)
+        object.__setattr__(self, "symbols", [None] * (mask + 1))
 
     @property
     def a(self) -> int:
         return self.ell // self.s
-
-    @property
-    def packer(self) -> Packing:
-        """The packing of these params (packing.packing_for)."""
-        return packing_for(self.s, self.boost)
-
-    @cached_property
-    def level(self) -> "LevelCore":
-        """The level of these params, made on first use and shared by every
-        encoder built from them, so they share one symbol table."""
-        return LevelCore(self)
 
     def distance_bound(self) -> Fraction:
         """The guaranteed ell-lagged distance delta*(base - 3/(2a)) of the
         truncated and untruncated encoders, base the packing's distance
         (1/2, or r/(r+1) boosted)."""
         return self.spec.provable_delta * (self.packer.base_distance - Fraction(3, 2 * self.a))
-
-
-# A level interns its FixedBits symbols in a direct-mapped table of
-# 2^min(c_delta, INTERN_BITS) entries, so the table is bounded whatever the
-# symbol width (rs levels have 5-17 bits, concat levels 63-539).
-INTERN_BITS = 10
-
-
-class LevelCore:
-    """What every instance of one lagged code shares: the block width s,
-    the instance period h = s^2/2, the symbol width c_delta, the packing,
-    the block code (whose rows are built when the first block completes, so
-    a wide code is never built for a stream too short to need it), and the
-    table of interned symbols."""
-
-    __slots__ = ("s", "h", "c_delta", "packer", "spec", "symbols", "symbol_mask")
-
-    def __init__(self, params: LaggedParams):
-        s = params.s
-        self.s = s
-        self.h = s * s // 2
-        self.spec = params.spec
-        self.c_delta = params.spec.c_delta
-        self.packer = params.packer
-        self.symbol_mask = (1 << min(self.c_delta, INTERN_BITS)) - 1
-        self.symbols: List[Optional[FixedBits]] = [None] * (self.symbol_mask + 1)
 
     def symbol(self, value: int) -> FixedBits:
         """FixedBits(c_delta, value), interned.
@@ -141,9 +127,9 @@ class UntruncatedCore:
     __slots__ = ("level", "period", "pos", "cur", "cnt",
                  "old_diffs", "old_word", "new_diffs", "new_word")
 
-    def __init__(self, level: LevelCore, period: Optional[int] = None):
-        self.level = level
-        self.period = level.h if period is None else period
+    def __init__(self, params: LaggedParams, period: Optional[int] = None):
+        self.level = params
+        self.period = params.h if period is None else period
         self.pos = 0
         self.cur = 0
         self.cnt = 0
@@ -210,7 +196,7 @@ class StreamEncoderTruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.core = UntruncatedCore(params.level, params.s ** 2)
+        self.core = UntruncatedCore(params, params.s ** 2)
 
     def push(self, bit: int):
         core = self.core
@@ -241,12 +227,12 @@ class LaggedSymbol:
     right: object
 
 
-def lagged_symbol(level: LevelCore, left: Optional[int], right: Optional[int]) -> LaggedSymbol:
+def lagged_symbol(params: LaggedParams, left: Optional[int], right: Optional[int]) -> LaggedSymbol:
     """Wrap an UntruncatedCore output: None becomes BLANK, an int the
-    level's interned c_delta-bit symbol (LevelCore.symbol)."""
+    level's interned c_delta-bit symbol (LaggedParams.symbol)."""
     return LaggedSymbol(
-        BLANK if left is None else level.symbol(left),
-        BLANK if right is None else level.symbol(right),
+        BLANK if left is None else params.symbol(left),
+        BLANK if right is None else params.symbol(right),
     )
 
 
@@ -261,7 +247,7 @@ class StreamEncoderUntruncatedLagged:
 
     def __init__(self, params: LaggedParams):
         self.params = params
-        self.core = UntruncatedCore(params.level)
+        self.core = UntruncatedCore(params)
 
     def push(self, bit: int) -> LaggedSymbol:
         left, right = self.core.push(bit)

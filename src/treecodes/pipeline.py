@@ -89,7 +89,7 @@ def build_schedule(n: int, s_min: int = 16, a: int = 6) -> Schedule:
         levels.append(ScheduleLevel(g, ell, s))
         nxt = 2 * a * (s * s // (4 * a))
         if nxt <= ell:
-            if s * s // 2 >= n:
+            if levels[-1].cover_hi >= n:
                 break
             raise ScheduleError(
                 "schedule stalls at level %d (ell=%d, next=%d) before covering n=%d"
@@ -97,9 +97,6 @@ def build_schedule(n: int, s_min: int = 16, a: int = 6) -> Schedule:
             )
         ell, s = nxt, nxt // a
         g += 1
-    # Contiguity: the window covers lags up to a*s_min >= ell_1 - 1 and each
-    # new interval starts inside the previous one by construction.
-    assert levels and levels[-1].cover_hi >= min(n, levels[-1].s * levels[-1].s // 2)
     return Schedule(tuple(levels), s_min, a, n)
 
 
@@ -177,7 +174,7 @@ class PipelineConfig:
             except InfeasibleCodeError as exc:
                 levels.append((lv.s, None, str(exc), None, None))
                 break
-            levels.append((lv.s, lv.s * lv.s // 2, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
+            levels.append((lv.s, lv.cover_hi, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
         return self.window_bits, tuple(levels)
 
 
@@ -234,14 +231,14 @@ class PipelineEncoder:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.schedule = config._schedule
-        self.levels = [UntruncatedCore(params.level) for params in config._levels]
+        levels = config._levels
+        self.levels = [UntruncatedCore(params) for params in levels]
         self.n = config.n
         self.wbits = config.window_bits
         self.wmask = (1 << self.wbits) - 1
-        self.hist_mask = (1 << self.schedule.levels[-1].s) - 1
+        self.hist_mask = (1 << levels[-1].s) - 1
         # (s, h) per level, in order of increasing s.
-        self.steps = tuple([(lv.s, lv.s * lv.s // 2) for lv in self.schedule.levels])
+        self.steps = tuple([(params.s, params.h) for params in levels])
         self.pos = 0
         self.window = 0
         self.hist = 0

@@ -99,6 +99,30 @@ def test_ecc_build_prints_a_wide_code_without_its_rows(capsys):
     assert record["outer"] == {"m": 15, "k_msg": 5763, "n_code": 28812}
 
 
+def test_encode_chs_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # At n = 30,000 the s = 28,812 level's rows (about 4.7 GB) are built at
+    # its first block end; here that build raises MemoryError at once.
+    import treecodes.ecc as ecc
+
+    real = ecc._build_rows_rs
+
+    def no_room(params, input_bits):
+        if params.n_code == 28812:
+            raise MemoryError
+        return real(params, input_bits)
+
+    monkeypatch.setattr(ecc, "_build_rows_rs", no_room)
+    bits = tmp_path / "bits.txt"
+    bits.write_text("01" * 14406 + "\n")
+    target = tmp_path / "out.ndjson"
+    code = main(["--output", str(target), "encode-chs", "--n", "30000", "--input", str(bits)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the 86436 generator rows of the rs code at s=28812 do not fit in memory\n")
+    lines = target.read_text().splitlines()
+    assert len(lines) == 28811 and json.loads(lines[-1])["i"] == 28811
+
+
 def test_ecc_build_infeasible(capsys):
     code, _ = run_cli(capsys, "ecc", "build", "--s", "8", "--delta", "1/2",
                       "--recipe", "concat")

@@ -367,6 +367,26 @@ def test_encode_int_is_the_xor_of_the_selected_rows():
             assert spec.encode_int(x) == want, (recipe, s, x.bit_length())
 
 
+def test_block_code_refuses_inputs_out_of_range():
+    # s = 4 memoizes its codewords, s = 16 encodes through the byte tables
+    # and s = 588 (1,764 input bits) through the wide row pass.  Unchecked,
+    # a trailing 2 at s = 16 gave the codeword of [0]*46 + [1, 0], a
+    # leading 2 or -1 an IndexError from the byte tables, and at s = 588
+    # encode_int(1 << 1764) the codeword of 1 << 1763.
+    for s in (4, 16, 588):
+        spec = build_code_c(s, Fraction(1, 4), "rs")
+        w = spec.input_bits
+        spec.symbols_for(1)
+        for bad in ([0] * (w - 1) + [2], [2] + [0] * (w - 1), [-1] + [0] * (w - 1)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                spec.encode(bad)
+        for bad in (-1, 1 << w, (1 << w) | 1):
+            for encode in (spec.encode_int, spec.symbols_for):
+                with pytest.raises(ValueError, match=r"input must be in \[0, 2\^%d\)" % w):
+                    encode(bad)
+        assert (spec._byte_tables == ()) == (s == 588)
+
+
 def _split_reference(s, c, out):
     # The per-symbol shift symbols_for used before split_codeword, kept as
     # the reference: O(s^2 c) bit work.

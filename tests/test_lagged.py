@@ -256,13 +256,13 @@ def random_bits(rng, n):
 
 def pipeline_level(s):
     """The level of block width s of the default n = 2^14 pipeline."""
-    return next(params.level for params in PipelineConfig(n=2**14)._levels if params.s == s)
+    return next(params for params in PipelineConfig(n=2**14)._levels if params.s == s)
 
 
 @pytest.mark.parametrize("s", [4, 6])
 def test_level_core_matches_per_instance_reference_toy(s):
     # Five instance periods: four rollovers, three of which retire an instance.
-    level = toy_params(s).level
+    level = toy_params(s)
     assert_core_matches_reference(level, 5 * level.h, seed=s)
 
 

@@ -270,7 +270,7 @@ class _PerBitReference:
 
     def __init__(self, config):
         self.wbits = config.window_bits
-        self.levels = [UntruncatedCore(params.level) for params in config._levels]
+        self.levels = [UntruncatedCore(params) for params in config._levels]
         self.pos = 0
         self.window = 0
 
