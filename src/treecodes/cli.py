@@ -110,14 +110,23 @@ def _cmd_encode_int(args, out):
     return 0
 
 
+_BIT_DIGITS = frozenset("01")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def _read_bits(fh, limit):
+    """Bits from the non-blank lines: a line of 0s and 1s gives one bit per
+    character, a line of hex digits four; any other line is a ValueError."""
     bits = []
     for line in fh:
         line = line.strip()
         if not line:
             continue
-        if set(line) <= {"0", "1"}:
+        digits = set(line)
+        if digits <= _BIT_DIGITS:
             bits.extend(int(c) for c in line)
+        elif not digits <= _HEX_DIGITS:
+            raise ValueError("input line %r is neither bits nor hex digits" % line)
         else:
             v = int(line, 16)
             width = 4 * len(line)
@@ -192,6 +201,8 @@ def _cmd_verify(args, out):
         value = singleton_bound(args.n, args.sigma, args.gamma)
         out.write("%s\n" % value)
         return 0
+    if args.mode in ("distance", "tilde") and nmax < 1:
+        raise ValueError("--nmax must be at least 1, got %d" % nmax)
     if args.mode == "distance":
         P = pascal_matrix(nmax - 1)
         report = tree_distance_exhaustive(

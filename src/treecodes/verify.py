@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
-from .core import BudgetExceededError, hamming_distance, hamming_weight, split
+from .core import BudgetExceededError, LengthMismatchError, hamming_distance, hamming_weight, split
 from .linearcode import encode_tc_a
 from .pascal import LowerTriangularMatrix
 
@@ -35,12 +35,12 @@ class DistanceReport:
 
 def _min_pair_ratio(
     encode: Callable, alphabet: Sequence, lengths: range, lags: range, space: str, budget: int
-) -> Optional[DistanceReport]:
+) -> DistanceReport:
     """The first minimum, in enumeration order, of Hamming(enc(x), enc(x'))
     / (n - split) over n in lengths and pairs x < x' of alphabet^n (in
-    itertools.product order) whose lag n - split lies in lags; None when no
-    pair qualifies.  BudgetExceededError when the pairs of the lengths
-    scanned, sum q^n (q^n - 1) / 2, exceed budget.
+    itertools.product order) whose lag n - split lies in lags.  ValueError
+    when no pair qualifies; BudgetExceededError when the pairs of the
+    lengths scanned, sum q^n (q^n - 1) / 2, exceed budget.
 
     With x the i-th string, the partners j > i at lag b form the index
     range [(i // q^(b-1) + 1) q^(b-1), (i // q^b + 1) q^b), and these
@@ -48,7 +48,17 @@ def _min_pair_ratio(
     order is the plain (i, j) order.  The alphabet symbols must be
     distinct (ValueError otherwise).  Each length's encoded symbols are
     interned into small ints, so they must be hashable (TypeError
-    otherwise); hamming_distance then compares int tuples.
+    otherwise), and all encodings of one length must have one width
+    (LengthMismatchError otherwise).
+
+    The scan is bit-sliced.  cols[t][v] is the bitset of the strings j
+    whose symbol at output position t is v.  For string i and lag b the
+    masks (cols[t][enc_i[t]] >> lo) & mask, one per position, are added
+    into an agreement counter of width.bit_length() bit planes with
+    ripple carry; reading the planes from the top down leaves the set of
+    partners of maximum agreement, whose lowest bit is the first partner
+    at distance width - max.  The reported witness is re-evaluated once
+    with hamming_distance (AssertionError if it disagrees).
     """
     alphabet = tuple(alphabet)
     q = len(alphabet)
@@ -57,7 +67,6 @@ def _min_pair_ratio(
         raise BudgetExceededError("%d pairs exceed budget %d" % (pairs, budget))
     if any(a == b for a, b in itertools.combinations(alphabet, 2)):
         raise ValueError("alphabet symbols must be distinct: %r" % (alphabet,))
-    hamming = hamming_distance
     best_d, best_b, best = 1, 0, None  # 1/0: the first ratio always beats it
     for n in lengths:
         strings = list(itertools.product(alphabet, repeat=n))
@@ -69,23 +78,48 @@ def _min_pair_ratio(
                 encs.append(tuple([ids.setdefault(sym, len(ids)) for sym in e]))
             except TypeError as exc:
                 raise TypeError("encoded symbols must be hashable: %s" % exc) from None
+        widths = set(map(len, encs))
+        if len(widths) > 1:
+            raise LengthMismatchError(
+                "encodings of length-%d inputs have widths %s" % (n, sorted(widths)))
+        width = widths.pop() if widths else 0
+        cols = [{} for _ in range(width)]
+        for j, enc in enumerate(encs):
+            bit = 1 << j
+            for col, v in zip(cols, enc):
+                col[v] = col.get(v, 0) | bit
+        planes_n = width.bit_length()
         steps = [(b, q ** (b - 1), q**b) for b in lags if 1 <= b <= n]
         for i, enc in enumerate(encs):
             for b, low, high in steps:
                 lo, hi = (i // low + 1) * low, (i // high + 1) * high
                 if lo >= hi:
                     continue
-                ds = list(map(hamming, itertools.repeat(enc, hi - lo), encs[lo:hi]))
-                d = min(ds)
+                mask = (1 << (hi - lo)) - 1
+                planes = [0] * planes_n
+                for col, v in zip(cols, enc):
+                    x = (col[v] >> lo) & mask
+                    for k in range(planes_n):
+                        planes[k], x = planes[k] ^ x, planes[k] & x
+                        if not x:
+                            break
+                top, agree = mask, 0
+                for k in range(planes_n - 1, -1, -1):
+                    y = top & planes[k]
+                    if y:
+                        top, agree = y, agree | 1 << k
+                d = width - agree
                 if d * best_b < best_d * b:
                     best_d, best_b = d, b
-                    best = (i, lo + ds.index(d), strings)
+                    j = lo + (top & -top).bit_length() - 1
+                    best = (strings[i], strings[j], enc, encs[j])
     if best is None:
-        return None
-    i, j, strings = best
-    return DistanceReport(
-        Fraction(best_d, best_b), (strings[i], strings[j], len(strings[i]) - best_b, best_d), space
-    )
+        raise ValueError("no pair qualifies (%s)" % space)
+    x, y, ex, ey = best
+    d = hamming_distance(ex, ey)
+    if d != best_d:
+        raise AssertionError("witness %r, %r re-evaluates to %d, not %d" % (x, y, d, best_d))
+    return DistanceReport(Fraction(best_d, best_b), (x, y, len(x) - best_b, best_d), space)
 
 
 def tree_distance_exhaustive(
@@ -95,7 +129,8 @@ def tree_distance_exhaustive(
     Hamming(enc(x), enc(x')) / (n - split).
 
     The alphabet symbols must be distinct (ValueError) and the encoded
-    symbols hashable (TypeError)."""
+    symbols hashable (TypeError).  ValueError when no pair qualifies:
+    n_max < 1 or fewer than two symbols."""
     lengths = range(1, n_max + 1)
     space = "n<=%d over %d symbols" % (n_max, len(alphabet))
     return _min_pair_ratio(encode, alphabet, lengths, lengths, space, budget)
@@ -105,7 +140,8 @@ def tree_distance_relaxed(
     encode: Callable, alphabet: Sequence, n: int, budget: int = 2_000_000
 ) -> DistanceReport:
     """The relaxed distance: the same minimum restricted to length exactly n,
-    with the same requirements on the symbols."""
+    with the same requirements on the symbols and the same ValueError when
+    no pair qualifies (n < 1 or fewer than two symbols)."""
     lengths = range(n, n + 1)
     return _min_pair_ratio(encode, alphabet, lengths, range(1, n + 1), "n=%d exactly" % n, budget)
 
@@ -119,10 +155,7 @@ def lagged_distance(
     if n_max < ell:
         raise ValueError("no pair can reach lag %d at n_max=%d" % (ell, n_max))
     lengths, space = range(ell, n_max + 1), "lag in [%d,%d]" % (ell, L)
-    best = _min_pair_ratio(encode, alphabet, lengths, range(ell, L + 1), space, budget)
-    if best is None:
-        raise ValueError("no pair with lag in [%d, %d] found" % (ell, L))
-    return best
+    return _min_pair_ratio(encode, alphabet, lengths, range(ell, L + 1), space, budget)
 
 
 def _min_weight_ratio(

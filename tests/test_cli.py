@@ -73,6 +73,17 @@ def test_encode_chs_bits_and_hex_agree(tmp_path, capsys):
     assert first["i"] == 1 and first["gamma_bits"] == 1
 
 
+@pytest.mark.parametrize("line", ["-1", "0x1f", "1_0", "+f", "10 01", "a5g"])
+def test_encode_chs_refuses_lines_neither_bits_nor_hex(tmp_path, capsys, line):
+    # int(line, 16) accepts the first four; each must end in one error line.
+    path = tmp_path / "in.txt"
+    path.write_text("1010\n%s\n" % line)
+    code = main(["encode-chs", "--n", "100", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: input line %r is neither bits nor hex digits\n" % line
+
+
 def test_schedule_table(capsys):
     code, out = run_cli(capsys, "schedule", "--n", "16384")
     assert code == 0
@@ -157,6 +168,14 @@ def test_verify_over_budget_is_one_error_line(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: 5230176600 vectors exceed budget 2000000\n"
+
+
+@pytest.mark.parametrize("mode", ["distance", "tilde"])
+def test_verify_nmax_zero_is_one_error_line(capsys, mode):
+    code = main(["verify", "--mode", mode, "--nmax", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --nmax must be at least 1, got 0\n"
 
 
 def test_verify_lagged_runs_with_its_defaults(capsys):

@@ -8,7 +8,10 @@ from operator import itemgetter
 
 import pytest
 
-from treecodes.core import BudgetExceededError, hamming_distance, split
+from treecodes import verify
+from treecodes.core import (
+    BLANK, BudgetExceededError, FixedBits, LengthMismatchError, hamming_distance, split,
+)
 from treecodes.ecc import build_code_c
 from treecodes.lagged import LaggedParams, StreamEncoderTruncatedLagged, encode_truncated_lagged
 from treecodes.linearcode import encode_int_treecode, encode_tc_a
@@ -228,6 +231,13 @@ _REFERENCE_ENCODERS = {
     # Not online: a later symbol changes earlier outputs.
     "sorted": lambda x: tuple(sorted(x)),
     "suffix-sums": lambda x: tuple(sum(x[i:]) % 3 for i in range(len(x))),
+    "sorted-twice": lambda x: tuple(sorted(x)) * 2,
+    # Every distance is 0, so the witness must be the very first pair.
+    "constant": lambda x: ("c",) * len(x),
+    "empty": lambda x: (),
+    # Non-int symbols with many tied distances.
+    "mixed-symbols": lambda x: tuple(BLANK if v == 0 else FixedBits(2, v) for v in x)
+    + ("s%d" % (sum(x) % 2),),
 }
 
 
@@ -256,6 +266,47 @@ def test_lagged_distance_matches_pair_walk_reference():
                 _reference_pair_ratios(enc, alphabet, range(ell, n_max + 1), range(ell, L + 1)),
                 "lag in [%d,%d]" % (ell, L))
             assert lagged_distance(enc, ell, L, alphabet, n_max) == want, (a, ell, L, alphabet)
+
+
+@pytest.mark.parametrize("name", ["identity", "sorted-twice", "suffix-sums"])
+def test_tree_distances_match_pair_walk_reference_at_three_symbols_to_n5(name):
+    # Widths 4..10 at n = 4, 5 need agreement counters of three and four
+    # bit planes; sorted-twice reaches the top plane with equal encodings.
+    encode, alphabet, n = _REFERENCE_ENCODERS[name], (0, 1, 2), 5
+    lengths = range(1, n + 1)
+    assert tree_distance_exhaustive(encode, alphabet, n) == _reference_minimum(
+        _reference_pair_ratios(encode, alphabet, lengths, lengths), "n<=5 over 3 symbols")
+    assert tree_distance_relaxed(encode, alphabet, n) == _reference_minimum(
+        _reference_pair_ratios(encode, alphabet, range(n, n + 1), lengths), "n=5 exactly")
+
+
+def test_encodings_of_one_length_must_share_a_width():
+    # The width is checked over every encoding of a length, not only over
+    # the pairs compared: at n = 2 with lag 1 only 00/01 and 10/11 are
+    # compared, which agree in width, yet 0x and 1x do not.
+    encode = lambda x: x + (0,) * (x[0] * (len(x) - 1))
+    with pytest.raises(LengthMismatchError):
+        lagged_distance(encode, 1, 1, (0, 1), 2)
+    with pytest.raises(LengthMismatchError):
+        tree_distance_exhaustive(lambda x: x + (0,) * x[0], (0, 1), 2)
+
+
+def test_reported_witness_is_re_evaluated(monkeypatch):
+    monkeypatch.setattr(verify, "hamming_distance", lambda x, y: -1)
+    with pytest.raises(AssertionError, match="re-evaluates"):
+        tree_distance_exhaustive(lambda x: x, (0, 1), 2)
+
+
+def test_exhaustive_distances_fail_loudly_without_pairs():
+    for call in (
+        lambda: tree_distance_exhaustive(lambda x: x, (0, 1), 0),
+        lambda: tree_distance_exhaustive(lambda x: x, (0,), 3),
+        lambda: tree_distance_relaxed(lambda x: x, (0, 1), 0),
+        lambda: tree_distance_relaxed(lambda x: x, (5,), 2),
+        lambda: lagged_distance(lambda x: x, 2, 3, (0,), 4),
+    ):
+        with pytest.raises(ValueError, match="no pair"):
+            call()
 
 
 def test_exhaustive_distances_reject_repeated_symbols():
