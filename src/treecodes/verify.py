@@ -48,8 +48,8 @@ def _min_pair_ratio(
     order is the plain (i, j) order.  The alphabet symbols must be
     distinct (ValueError otherwise).  Each length's encoded symbols are
     interned into small ints, so they must be hashable (TypeError
-    otherwise), and all encodings of one length must have one width
-    (LengthMismatchError otherwise).
+    otherwise), and all encodings of one length, compared or not, must
+    have one width (LengthMismatchError otherwise).
 
     The scan is bit-sliced.  cols[t][v] is the bitset of the strings j
     whose symbol at output position t is v.  For string i and lag b the

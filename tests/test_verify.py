@@ -281,9 +281,9 @@ def test_tree_distances_match_pair_walk_reference_at_three_symbols_to_n5(name):
 
 
 def test_encodings_of_one_length_must_share_a_width():
-    # The width is checked over every encoding of a length, not only over
-    # the pairs compared: at n = 2 with lag 1 only 00/01 and 10/11 are
-    # compared, which agree in width, yet 0x and 1x do not.
+    """The width is checked over every encoding of a length, not only over
+    the pairs compared: at n = 2 with lag 1 only 00/01 and 10/11 are
+    compared, which agree in width, yet 0x and 1x do not."""
     encode = lambda x: x + (0,) * (x[0] * (len(x) - 1))
     with pytest.raises(LengthMismatchError):
         lagged_distance(encode, 1, 1, (0, 1), 2)
