@@ -72,7 +72,6 @@ from .pipeline import (
     alphabet_at,
     boosted_config,
     build_schedule,
-    encode_final,
     level_c_delta,
 )
 from .verify import (

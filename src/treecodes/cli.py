@@ -294,10 +294,7 @@ def main(argv=None) -> int:
         "ecc": _cmd_ecc_build,
         "verify": _cmd_verify,
     }
-    handler = handlers.get(args.cmd)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 1
+    handler = handlers[args.cmd]
     out = _open_out(args.output)
     try:
         return handler(args, out)

@@ -36,10 +36,6 @@ class PackedCodeParams:
             raise ValueError("s must be at least 1")
 
     @property
-    def n(self) -> int:
-        return self.s
-
-    @property
     def symbol_bits(self) -> int:
         return 3 * self.s
 

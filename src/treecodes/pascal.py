@@ -48,10 +48,6 @@ class LowerTriangularMatrix:
         return self.rows[i][j] if j <= i else 0
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "LowerTriangularMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "LowerTriangularMatrix":
         return cls(tuple(tuple(1 if j == i else 0 for j in range(i + 1)) for i in range(n)))
 
@@ -69,9 +65,6 @@ class MinorIndexPair:
         for seq in (self.I, self.J):
             if any(a >= b for a, b in zip(seq, seq[1:])):
                 raise ValueError("index sets must be strictly increasing")
-
-    def is_staircase(self) -> bool:
-        return all(i >= j for i, j in zip(self.I, self.J))
 
 
 @dataclass(frozen=True)

@@ -308,15 +308,6 @@ class PipelineEncoder:
         return other
 
 
-def encode_final(config: PipelineConfig, bits) -> tuple:
-    """Encode a whole bit sequence (length <= n) into FinalSymbols."""
-    bits = list(bits)
-    if len(bits) > config.n:
-        raise ValueError("input longer than n=%d" % config.n)
-    enc = PipelineEncoder(config)
-    return tuple(enc.push(b) for b in bits)
-
-
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
     """Exact bit accounting of the symbol at position i; independent of n
     for all n that include the position's active levels."""

@@ -1,5 +1,7 @@
 """Ground-truth oracles: exact tree distances, weight distances, lagged
-distances, the Singleton/MDS predicates, and the random-Toeplitz baseline.
+distances, the Singleton/MDS predicates, and the random-Toeplitz baseline
+over the small fields GF(q), q <= 16, whose tables SmallField builds from
+the definition of a field.
 
 Every verdict is an exact rational; witnesses re-evaluate to the reported
 value.  The only real-valued function is the entropy used by the
@@ -244,10 +246,10 @@ def toeplitz_condition(q: int, r: int, delta: float) -> bool:
     return math.log(2 * q, r) + entropy_hr(r, delta) <= 1 + ENTROPY_TOL
 
 
-def largest_feasible_delta(q: int, r: int, grid: int = 1000) -> Fraction:
-    """Largest delta = i/grid passing toeplitz_condition; error if none."""
-    for i in range(grid - 1, 0, -1):
-        d = Fraction(i, grid)
+def largest_feasible_delta(q: int, r: int) -> Fraction:
+    """Largest delta = i/1000 passing toeplitz_condition; error if none."""
+    for i in range(999, 0, -1):
+        d = Fraction(i, 1000)
         if d <= Fraction(r - 1, r) and toeplitz_condition(q, r, float(d)):
             return d
     raise ValueError("no feasible delta for q=%d, r=%d" % (q, r))
@@ -256,94 +258,56 @@ def largest_feasible_delta(q: int, r: int, grid: int = 1000) -> Fraction:
 SUPPORTED_FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
-def _smallest_prime_factor(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("q must be >= 2")
-
-
-def _poly_mod(a: tuple, b: tuple, p: int) -> tuple:
-    # Remainder of a by monic b, coefficients low-to-high over Z_p.
-    a = list(a)
-    while len(a) >= len(b):
-        lead = a[-1]
-        if lead:
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _monic_polys(deg: int, p: int):
-    for coeffs in itertools.product(range(p), repeat=deg):
-        yield tuple(coeffs) + (1,)
-
-
-def _find_irreducible(p: int, m: int) -> tuple:
-    # A monic reducible polynomial of degree m has a monic factor of
-    # degree between 1 and m//2; test divisibility by all of them.
-    for cand in _monic_polys(m, p):
-        ok = True
-        for d in range(1, m // 2 + 1):
-            for div in _monic_polys(d, p):
-                if not _poly_mod(cand, div, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return cand
-    raise AssertionError("no irreducible polynomial of degree %d over F_%d" % (m, p))
-
-
 class SmallField:
     """GF(q) for q = p^m <= 16 with full add/mul tables.
 
-    Elements are the integers 0..q-1; for extension fields the base-p
-    digits of the integer are the polynomial coefficients (low digit =
-    constant term) modulo the canonical (lexicographically least monic)
-    irreducible of degree m.
+    Elements are the integers 0..q-1, whose base-p digits are the
+    coefficients of a polynomial of degree < m (low digit = constant term)
+    multiplied modulo x^m + c(x).  The tables come from the definition of a
+    field: the candidate moduli are tried with c's coefficients
+    (c_0, ..., c_{m-1}) in itertools.product order, and the first whose
+    multiplication table has no zero divisors is kept.  A finite
+    commutative ring without zero divisors is a field, so that modulus is
+    irreducible; for prime q the first candidate, x, gives the integers
+    mod p.
+
+    This order is lexicographic in the coefficient tuple, c_0 first, and
+    picks x^3+x^2+1 and x^4+x^3+1 for GF(8) and GF(16).
+    ecc.canonical_modulus orders polynomials as integers, c_{m-1} first,
+    and picks x^3+x+1 and x^4+x+1; that is why the Toeplitz baseline does
+    not reuse ecc's GF(2^m), which would change its GF(8) and GF(16) tables.
     """
 
     def __init__(self, q: int):
         if q not in SUPPORTED_FIELD_SIZES:
             raise ValueError("unsupported field size %d" % q)
-        p = _smallest_prime_factor(q)
-        m = 0
-        t = q
-        while t > 1:
-            t //= p
-            m += 1
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = next(k for k in range(1, q) if p**k == q)
         self.q, self.p, self.m = q, p, m
-        if m == 1:
-            self.add_table = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self.mul_table = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            modulus = _find_irreducible(p, m)
-            digits = lambda v: tuple((v // p**i) % p for i in range(m))
-            undig = lambda cs: sum(c * p**i for i, c in enumerate(cs))
-            self.add_table = [
-                [undig([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = []
-            for a in range(q):
-                row = []
-                da = digits(a)
-                for b in range(q):
-                    db = digits(b)
-                    prod = [0] * (2 * m - 1)
-                    for i, x in enumerate(da):
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                    rem = _poly_mod(tuple(prod), modulus, p)
-                    row.append(undig(rem + (0,) * (m - len(rem))))
-                mul.append(row)
-            self.mul_table = mul
+        digits = [tuple(v // p**i % p for i in range(m)) for v in range(q)]
+        value = {d: v for v, d in enumerate(digits)}
+        self.add_table = [
+            [value[tuple((x + y) % p for x, y in zip(da, db))] for db in digits] for da in digits
+        ]
+
+        def times(da, db, c):
+            # Horner in a, high digit first: acc <- acc*x + a_i*b, with
+            # x^m replaced by -c(x).
+            acc = (0,) * m
+            for a in reversed(da):
+                top = acc[-1]
+                acc = tuple(
+                    (lo - top * ci + a * bi) % p
+                    for lo, ci, bi in zip((0,) + acc[:-1], c, db)
+                )
+            return value[acc]
+
+        for c in itertools.product(range(p), repeat=m):
+            mul = [[times(da, db, c) for db in digits] for da in digits]
+            if all(all(row[1:]) for row in mul[1:]):
+                self.mul_table = mul
+                return
+        raise AssertionError("no field of size %d" % q)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

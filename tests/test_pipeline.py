@@ -20,7 +20,6 @@ from treecodes.pipeline import (
     alphabet_at,
     boosted_config,
     build_schedule,
-    encode_final,
     level_c_delta,
 )
 
@@ -221,19 +220,9 @@ def test_level_code_built_on_first_completed_block(monkeypatch):
     assert built == [True] * 5 + [False]
 
 
-def test_encode_final_matches_stream():
-    cfg = PipelineConfig(n=1 << 14)
-    rng = random.Random(2)
-    bits = [rng.randrange(2) for _ in range(200)]
-    enc = PipelineEncoder(cfg)
-    assert tuple(enc.push(b) for b in bits) == encode_final(cfg, bits)
-
-
-def test_encode_final_rejects_what_push_rejects():
+def test_push_rejects_what_is_not_a_bit():
     cfg = PipelineConfig(n=200)
     for bad in ("1", None, 2):
-        with pytest.raises(ValueError, match="0 or 1"):
-            encode_final(cfg, [1, 0, bad])
         with pytest.raises(ValueError, match="0 or 1"):
             PipelineEncoder(cfg).push(bad)
 
@@ -397,8 +386,9 @@ def test_level_c_delta_refuses_as_build_code_c():
 
 
 def test_alphabet_at_raises_from_an_infeasible_level_only():
-    # boosted_config(1/8) has no feasible level code at s=16 (ROADMAP item
-    # 6): the window-only positions are still accounted, as by the walk.
+    # boosted_config(1/8) has no feasible level code at s=16: its RS code
+    # needs a field degree above MAX_FIELD_DEGREE (ROADMAP items 3 and 4).
+    # The window-only positions are still accounted, as by the walk.
     config = boosted_config(Fraction(1, 8))
     first = build_schedule(config.n, config.s_min, config.a).levels[0].s
     for i in range(1, first):

@@ -142,6 +142,15 @@ def test_small_fields_axioms():
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
+def test_small_field_moduli():
+    # The element x is the integer p and x^(m-1) is q/p, so their product
+    # is x^m reduced by the modulus: x^2+x+1, x^3+x^2+1, x^2+1 and
+    # x^4+x^3+1, the first irreducible x^m + c(x) with c's coefficients
+    # (c_0, ..., c_{m-1}) in itertools.product order.
+    for q, p, want in ((4, 2, 3), (8, 2, 5), (9, 3, 2), (16, 2, 9)):
+        assert get_field(q).mul(p, q // p) == want
+
+
 def test_unsupported_field():
     with pytest.raises(ValueError):
         SmallField(6)
