@@ -41,6 +41,9 @@ from .linearcode import BoostParams
 from .packing import packing_for
 
 
+_new = object.__new__
+
+
 class ScheduleError(ValueError):
     """The lag schedule cannot cover the requested length."""
 
@@ -192,7 +195,7 @@ def level_code(s: int, delta: Fraction, recipe: str, input_bits: int) -> CodeSpe
     return build_code_c(s, delta, recipe, input_bits=input_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinalSymbol:
     """One output symbol: the input window plus one lagged pair per active
     level (levels with s_g > i are absent, not blank)."""
@@ -231,7 +234,7 @@ class PipelineEncoder:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        levels = config._levels
+        self.params = levels = config._levels
         self.levels = [UntruncatedCore(params) for params in levels]
         self.n = config.n
         self.wbits = config.window_bits
@@ -253,7 +256,10 @@ class PipelineEncoder:
             raise ValueError("input longer than n=%d" % self.n)
         if bit != 0 and bit != 1:
             raise ValueError("input bit must be 0 or 1, got %r" % (bit,))
-        self.window = window = ((self.window << 1) | bit) & self.wmask
+        try:
+            self.window = window = ((self.window << 1) | bit) & self.wmask
+        except TypeError:  # a float or other non-int equal to 0 or 1
+            raise ValueError("input bit must be 0 or 1, got %r" % (bit,)) from None
         self.pos = pos = pos + 1
         if pos == self.next_event:
             self._event(pos, window)
@@ -296,16 +302,25 @@ class PipelineEncoder:
         wlen, wval, raw = self.push_raw(bit)
         # zip stops after the active levels, which come first (s increases).
         levels = tuple([
-            lagged_symbol(pair.level, left, right)
-            for pair, (left, right) in zip(self.levels, raw)
+            lagged_symbol(params, left, right)
+            for params, (left, right) in zip(self.params, raw)
         ])
-        return FinalSymbol(FixedBits(wlen, wval), levels)
+        # Filled as lagged_symbol fills a LaggedSymbol: FinalSymbol has no
+        # __post_init__, and the window goes through FixedBits' checks.
+        sym = _new(FinalSymbol)
+        _set_window(sym, FixedBits(wlen, wval))
+        _set_levels(sym, levels)
+        return sym
 
     def clone(self) -> "PipelineEncoder":
         other = PipelineEncoder.__new__(PipelineEncoder)
         other.__dict__.update(self.__dict__)
         other.levels = [core.clone() for core in self.levels]
         return other
+
+
+_set_window = FinalSymbol.window.__set__
+_set_levels = FinalSymbol.levels.__set__
 
 
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:

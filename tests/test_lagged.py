@@ -1,5 +1,6 @@
 """Tests for the truncated and untruncated lagged encoders."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from treecodes.core import BLANK, FixedBits
 from treecodes.ecc import CodeSpecC, build_code_c
 from treecodes.lagged import (
+    INTERN_BITS,
     LaggedParams,
     LaggedSymbol,
     StreamEncoderTruncatedLagged,
@@ -15,6 +17,7 @@ from treecodes.lagged import (
     UntruncatedCore,
     encode_truncated_lagged,
     encode_untruncated_lagged,
+    lagged_symbol,
 )
 from treecodes.linearcode import BoostParams
 from treecodes.packing import BoostedPackedParams
@@ -149,7 +152,7 @@ def test_push_rejects_non_bits_before_changing_state(cls):
             enc.push(rng.randrange(2))
         twin = enc.clone()
         before = _core_state(enc.core)
-        for bad in (2, -1, "1", None):
+        for bad in (2, -1, "1", None, 1.0, 0.0):
             with pytest.raises(ValueError):
                 enc.push(bad)
         assert _core_state(enc.core) == before
@@ -159,9 +162,47 @@ def test_push_rejects_non_bits_before_changing_state(cls):
 
 @pytest.mark.parametrize("encode", [encode_truncated_lagged, encode_untruncated_lagged])
 def test_encode_lagged_rejects_non_bits(encode):
-    for bad in (2, -1, "1", None):
+    for bad in (2, -1, "1", None, 1.0, 0.0):
         with pytest.raises(ValueError):
             encode(toy_params(), [1, 0, bad, 1])
+
+
+def test_untruncated_push_symbols_equal_constructor_built_ones():
+    # push fills LaggedSymbol without its __init__; it must be the symbol
+    # the constructors build from the core's ints, with interned components.
+    p = toy_params()  # s=4, h=8
+    rng = random.Random(27)
+    enc, twin = StreamEncoderUntruncatedLagged(p), UntruncatedCore(p)
+    for t in range(200):
+        if t == 8:  # just before the second instance starts
+            enc, twin = enc.clone(), twin.clone()
+        bit = rng.randrange(2)
+        sym = enc.push(bit)
+        pair = twin.push(bit)
+        ref = LaggedSymbol(*[BLANK if v is None else FixedBits(p.c_delta, v) for v in pair])
+        assert sym == ref and hash(sym) == hash(ref) and repr(sym) == repr(ref), t
+        for component, v in zip((sym.left, sym.right), pair):
+            assert component is (BLANK if v is None else p.symbol(v))
+    for name in ("left", "right"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, name, None)
+
+
+def test_lagged_symbol_never_returns_a_stale_symbol():
+    # v + 2^c_delta has v's table slot but no c_delta-bit symbol: the
+    # table read must not return v's symbol for it.
+    p = toy_params()
+    assert p.c_delta <= INTERN_BITS
+    v = 5
+    sym = p.symbol(v)
+    for bad in (v + (1 << p.c_delta), -1 - p.symbol_mask + v):
+        assert bad & p.symbol_mask == v
+        with pytest.raises(ValueError):
+            lagged_symbol(p, bad, None)
+        with pytest.raises(ValueError):
+            lagged_symbol(p, None, bad)
+    assert p.symbols[v] is sym
+    assert lagged_symbol(p, v, None) == LaggedSymbol(sym, BLANK)
 
 
 def test_boosted_lagged_roundtrip():

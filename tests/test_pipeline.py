@@ -1,6 +1,7 @@
 """Tests for the schedule, the full pipeline encoder and its alphabet
 accounting."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,11 @@ import pytest
 import treecodes.pipeline as pipeline
 from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
 from treecodes.ecc import InfeasibleCodeError, build_code_c
-from treecodes.lagged import INTERN_BITS, UntruncatedCore
+from treecodes.lagged import INTERN_BITS, LaggedSymbol, UntruncatedCore
 from treecodes.linearcode import BoostParams
 from treecodes.packing import packing_for
 from treecodes.pipeline import (
+    FinalSymbol,
     PipelineConfig,
     PipelineEncoder,
     ScheduleError,
@@ -135,7 +137,7 @@ def test_push_rejects_non_bits_before_changing_state():
             enc.push_raw(rng.randrange(2))
         twin = enc.clone()
         before = _encoder_state(enc)
-        for bad in (2, -1, 3, "1", None, 0.5):
+        for bad in (2, -1, 3, "1", None, 0.5, 1.0, 0.0):
             with pytest.raises(ValueError):
                 enc.push_raw(bad)
             with pytest.raises(ValueError):
@@ -150,6 +152,49 @@ def test_push_rejects_non_bits_before_changing_state():
         with pytest.raises(ValueError):
             enc.push_raw(bit)
         assert _encoder_state(enc) == before
+
+
+def _constructor_built(config, raw):
+    """push_raw's tuple wrapped through the public constructors alone."""
+    wlen, wval, pairs = raw
+    return FinalSymbol(FixedBits(wlen, wval), tuple([
+        LaggedSymbol(*[BLANK if v is None else FixedBits(params.c_delta, v) for v in pair])
+        for params, pair in zip(config._levels, pairs)
+    ]))
+
+
+def _assert_push_is_constructor_built(config, enc, twin, bits):
+    """Returns the last symbol pushed."""
+    for bit in bits:
+        sym = enc.push(bit)
+        raw = twin.push_raw(bit)
+        ref = _constructor_built(config, raw)
+        assert sym == ref and hash(sym) == hash(ref) and repr(sym) == repr(ref), twin.pos
+        for params, lv, pair in zip(config._levels, sym.levels, raw[2]):
+            for component, v in zip((lv.left, lv.right), pair):
+                assert component is (BLANK if v is None else params.symbol(v))
+    return sym
+
+
+def test_push_symbols_equal_constructor_built_ones():
+    # push fills FinalSymbol and LaggedSymbol without their __init__; they
+    # must be the symbols the constructors build from push_raw's tuple.  The
+    # clone is taken just before level 1's first rollover (h = 128).
+    cfg = PipelineConfig(n=3000)
+    rng = random.Random(27)
+    bits = [rng.randrange(2) for _ in range(cfg.n)]
+    enc, twin = PipelineEncoder(cfg), PipelineEncoder(cfg)
+    _assert_push_is_constructor_built(cfg, enc, twin, bits[:128])
+    clone, clone_twin = enc.clone(), twin.clone()
+    _assert_push_is_constructor_built(cfg, enc, twin, bits[128:])
+    tail = [1 - bits[128]] + [rng.randrange(2) for _ in range(cfg.n - 129)]
+    sym = _assert_push_is_constructor_built(cfg, clone, clone_twin, tail)
+    for name in ("window", "levels"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, name, None)
+    for name in ("left", "right"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym.levels[0], name, None)
 
 
 def test_level_codes_built_once_per_process(monkeypatch):
