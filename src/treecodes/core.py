@@ -46,7 +46,10 @@ class _Blank:
 BLANK = _Blank()
 
 
-@dataclass(frozen=True)
+# Slotted, as are SymbolTuple, AlphabetDescriptor, LaggedSymbol and
+# FinalSymbol: one is made per symbol on the pipeline's per-bit path, whose
+# wrappers fill the fields of the others through their slot descriptors.
+@dataclass(frozen=True, slots=True)
 class FixedBits:
     """A fixed-width bit string packed into an int, MSB first."""
 
@@ -76,7 +79,7 @@ class IntPair:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolTuple:
     """A composite symbol made of other output symbols."""
 
@@ -87,7 +90,7 @@ class SymbolTuple:
             raise ValueError("SymbolTuple must have at least one part")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphabetDescriptor:
     """Exact size accounting for the output alphabet at one position."""
 
@@ -130,31 +133,47 @@ def hamming_weight(x: Sequence, zero) -> int:
 
 # "%0<d>x" with d = max(1, ceil(width/4)) hex digits, for widths below 256.
 _HEX_FORMATS = tuple("%%0%dx" % max(1, (w + 3) // 4) for w in range(256))
+_HEX_WIDTHS = len(_HEX_FORMATS)
 
 
 def _fixed_text(sym: FixedBits) -> str:
     w = sym.width
-    if w < len(_HEX_FORMATS):
+    if w < _HEX_WIDTHS:
         return _HEX_FORMATS[w] % sym.value
     return format(sym.value, "0%dx" % ((w + 3) // 4))
 
 
 def _tuple_text(sym: SymbolTuple) -> str:
-    # The pipeline's symbols are tuples of FixedBits, BLANK and tuples of
-    # those, so the loop handles these three kinds without a dispatch.
-    out = []
+    # The pipeline's symbols are tuples of FixedBits, BLANK and pairs of
+    # those.  One token list takes the text of every part, a nested tuple's
+    # parts in place between its brackets, so a pair costs no call and no
+    # join of its own; any other part type goes through serialize_symbol.
+    out = ["("]
+    append = out.append
     for p in sym.parts:
         kind = type(p)
         if kind is FixedBits:
             w = p.width
-            out.append(_HEX_FORMATS[w] % p.value if w < len(_HEX_FORMATS) else _fixed_text(p))
+            append(_HEX_FORMATS[w] % p.value if w < _HEX_WIDTHS else _fixed_text(p))
         elif p is BLANK:
-            out.append("-")
+            append("-")
         elif kind is SymbolTuple:
-            out.append(_tuple_text(p))
+            append("(")
+            for q in p.parts:
+                if type(q) is FixedBits:
+                    w = q.width
+                    append(_HEX_FORMATS[w] % q.value if w < _HEX_WIDTHS else _fixed_text(q))
+                elif q is BLANK:
+                    append("-")
+                else:
+                    append(serialize_symbol(q))
+                append(",")
+            out[-1] = ")"  # the comma after the last inner part
         else:
-            out.append(serialize_symbol(p))
-    return "(" + ",".join(out) + ")"
+            append(serialize_symbol(p))
+        append(",")
+    out[-1] = ")"
+    return "".join(out)
 
 
 _TEXT_BY_TYPE = {

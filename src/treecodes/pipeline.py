@@ -204,9 +204,20 @@ class FinalSymbol:
     levels: Tuple[LaggedSymbol, ...]
 
     def to_symbol(self) -> SymbolTuple:
-        return SymbolTuple(
-            (self.window,) + tuple([SymbolTuple((lv.left, lv.right)) for lv in self.levels])
-        )
+        # Filled through the slot descriptor, skipping SymbolTuple's
+        # __post_init__, whose "at least one part" check holds here: the
+        # window is always a part, and each level pair has two.
+        parts = [self.window]
+        for lv in self.levels:
+            pair = _new(SymbolTuple)
+            _set_parts(pair, (lv.left, lv.right))
+            parts.append(pair)
+        sym = _new(SymbolTuple)
+        _set_parts(sym, tuple(parts))
+        return sym
+
+
+_set_parts = SymbolTuple.parts.__set__
 
 
 class PipelineEncoder:
@@ -325,14 +336,38 @@ _set_levels = FinalSymbol.levels.__set__
 
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
     """Exact bit accounting of the symbol at position i; independent of n
-    for all n that include the position's active levels."""
+    for all n that include the position's active levels.
+
+    The structure is constant over a regime of positions: it changes only
+    where the window grows, where a level enters (i = s), where its older
+    instance appears (i = h + 1) and where its newer one starts or
+    completes its first block (i = 1 or s mod h).  The config keeps the last
+    regime (lo, hi, total, structure) in its instance __dict__, as
+    cached_property does, so its ==, hash and repr do not see it; a
+    position inside it costs no walk over the levels.
+    """
+    if not isinstance(i, int):
+        raise TypeError("position must be an int, got %r" % (i,))
     if not 1 <= i <= config.n:
         raise ValueError("position outside [1, n]")
+    memo = config.__dict__.get("_alphabet_regime")
+    if memo is not None and memo[0] <= i < memo[1]:
+        # The (total, structure) pair passed the validating constructor
+        # when the regime was walked.
+        desc = _new(AlphabetDescriptor)
+        _set_position(desc, i)
+        _set_total_bits(desc, memo[2])
+        _set_structure(desc, memo[3])
+        return desc
     window_bits, levels = config._layout
-    total = i if i < window_bits else window_bits
+    if i < window_bits:
+        total, hi = i, i + 1
+    else:
+        total, hi = window_bits, config.n + 1
     structure = [("window", total)]
     for s, h, c, left_name, right_name in levels:
         if s > i:
+            hi = min(hi, s)  # the level enters, or raises if infeasible
             break
         if h is None:
             raise InfeasibleCodeError(c)
@@ -342,16 +377,27 @@ def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
             total += c
         else:
             structure.append((left_name, "blank"))
+            hi = min(hi, h + 1)
         # Right slot: the newer instance's local position is i mod h (or h
         # when the position is a segment boundary); blank before its first
-        # completed block.
+        # completed block, that is up to the next position = s mod h, and
+        # live up to the next start of an instance, at 1 mod h.
         r = i % h
         if r == 0 or r >= s:
             structure.append((right_name, c))
             total += c
+            hi = min(hi, i + 1 if r == 0 else i + h - r + 1)
         else:
             structure.append((right_name, "blank"))
-    return AlphabetDescriptor(i, total, tuple(structure))
+            hi = min(hi, i + s - r)
+    desc = AlphabetDescriptor(i, total, tuple(structure))
+    config.__dict__["_alphabet_regime"] = (i, hi, total, desc.structure)
+    return desc
+
+
+_set_position = AlphabetDescriptor.position.__set__
+_set_total_bits = AlphabetDescriptor.total_bits.__set__
+_set_structure = AlphabetDescriptor.structure.__set__
 
 
 def boosted_config(eta, n: int = 1 << 14) -> PipelineConfig:

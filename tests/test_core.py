@@ -1,6 +1,9 @@
 """Tests for the shared symbol and metric primitives."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import re
 
@@ -19,6 +22,7 @@ from treecodes.core import (
     serialize_symbol,
     split,
 )
+from treecodes.pipeline import PipelineConfig, PipelineEncoder, alphabet_at
 
 
 def test_blank_is_singleton():
@@ -107,6 +111,43 @@ def test_serialize_symbol_rejects_unknown_types():
             serialize_symbol(bad)
         with pytest.raises(TypeError):
             _serialize_reference(bad)
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(n=3000), PipelineConfig(n=586, recipe="concat")])
+def test_serialize_symbol_of_pushed_symbols_matches_reference(config):
+    # The serializer's nested-pair loop on the symbols the pipeline makes,
+    # with blank and live slots (rs levels of 5-11 bits, concat of 63-154).
+    enc = PipelineEncoder(config)
+    rng = random.Random(29)
+    for i in range(1, config.n + 1):
+        sym = enc.push(rng.randrange(2)).to_symbol()
+        assert serialize_symbol(sym) == _serialize_reference(sym), i
+
+
+def test_slotted_symbols_copy_and_pickle():
+    config = PipelineConfig(n=3000)
+    enc = PipelineEncoder(config)
+    rng = random.Random(30)
+    for _ in range(2999):
+        enc.push(rng.randrange(2))
+    alphabet_at(config, 2999)
+    samples = [
+        FixedBits(5, 3),
+        FixedBits(300, (1 << 299) + 5),
+        SymbolTuple((FixedBits(4, 1), BLANK, SymbolTuple((BLANK, IntPair(2, 13))))),
+        enc.push(1).to_symbol(),  # filled through the slot descriptors
+        AlphabetDescriptor(5, 11, (("window", 5), ("L1.left", "blank"), ("L1.right", 6))),
+        alphabet_at(config, 3000),  # inside the regime of 2999, also filled by slot
+    ]
+    for sym in samples:
+        assert not hasattr(sym, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, dataclasses.fields(sym)[0].name, None)
+        for other in (copy.copy(sym), copy.deepcopy(sym), pickle.loads(pickle.dumps(sym))):
+            assert type(other) is type(sym)
+            assert other == sym and hash(other) == hash(sym) and repr(other) == repr(sym)
+            if type(sym) is not AlphabetDescriptor:
+                assert serialize_symbol(other) == serialize_symbol(sym)
 
 
 def test_split_basic():

@@ -230,9 +230,9 @@ def cli_encode_int_lines(tmp_path):
     return _cli_lines(tmp_path, "int", text, "encode-int")
 
 
-def cli_encode_chs_lines(tmp_path):
-    x = random.Random("golden-cli-chs").getrandbits(2000)
-    return _cli_lines(tmp_path, "chs", "%0500x\n" % x, "encode-chs", "--n", "2000")
+def cli_encode_chs_lines(tmp_path, n=2000):
+    x = random.Random("golden-cli-chs").getrandbits(n)
+    return _cli_lines(tmp_path, "chs", "%0*x\n" % (n // 4, x), "encode-chs", "--n", str(n))
 
 
 def cli_verify_lines(tmp_path, mode, *argv):
@@ -259,6 +259,7 @@ CASES = {
 CLI_CASES = {
     "cli_encode_int": cli_encode_int_lines,
     "cli_encode_chs_n2000": cli_encode_chs_lines,
+    "cli_encode_chs_n16384": lambda tmp_path: cli_encode_chs_lines(tmp_path, 16384),
     "cli_verify_tilde_nmax4": lambda tmp_path: cli_verify_lines(tmp_path, "tilde", "--nmax", "4"),
     "cli_verify_lagged_nmax10": lambda tmp_path: cli_verify_lines(tmp_path, "lagged", "--nmax", "10"),
     "cli_verify_toeplitz": lambda tmp_path: cli_verify_lines(tmp_path, "toeplitz"),

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import treecodes.pipeline as pipeline
-from treecodes.core import BLANK, AlphabetDescriptor, FixedBits
+from treecodes.core import BLANK, AlphabetDescriptor, FixedBits, SymbolTuple
 from treecodes.ecc import InfeasibleCodeError, build_code_c
 from treecodes.lagged import INTERN_BITS, LaggedSymbol, UntruncatedCore
 from treecodes.linearcode import BoostParams
@@ -170,6 +170,11 @@ def _assert_push_is_constructor_built(config, enc, twin, bits):
         raw = twin.push_raw(bit)
         ref = _constructor_built(config, raw)
         assert sym == ref and hash(sym) == hash(ref) and repr(sym) == repr(ref), twin.pos
+        tup = sym.to_symbol()
+        ref_tup = SymbolTuple((ref.window,) + tuple(
+            [SymbolTuple((lv.left, lv.right)) for lv in ref.levels]))
+        assert tup == ref_tup and hash(tup) == hash(ref_tup), twin.pos
+        assert repr(tup) == repr(ref_tup), twin.pos
         for params, lv, pair in zip(config._levels, sym.levels, raw[2]):
             for component, v in zip((lv.left, lv.right), pair):
                 assert component is (BLANK if v is None else params.symbol(v))
@@ -177,9 +182,10 @@ def _assert_push_is_constructor_built(config, enc, twin, bits):
 
 
 def test_push_symbols_equal_constructor_built_ones():
-    # push fills FinalSymbol and LaggedSymbol without their __init__; they
-    # must be the symbols the constructors build from push_raw's tuple.  The
-    # clone is taken just before level 1's first rollover (h = 128).
+    # push fills FinalSymbol and LaggedSymbol without their __init__, and
+    # to_symbol its SymbolTuples; they must be the symbols the constructors
+    # build from push_raw's tuple.  The clone is taken just before level 1's
+    # first rollover (h = 128).
     cfg = PipelineConfig(n=3000)
     rng = random.Random(27)
     bits = [rng.randrange(2) for _ in range(cfg.n)]
@@ -386,9 +392,12 @@ def _alphabet_at_reference(config, i):
 
 
 def _same_descriptor(config, i):
+    # A position inside the config's last regime gets a descriptor filled
+    # without the constructor; it must be the one the constructor builds.
     got, want = alphabet_at(config, i), _alphabet_at_reference(config, i)
     assert (got.position, got.total_bits, got.structure) == (
         want.position, want.total_bits, want.structure), (config, i)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("config", [
@@ -416,6 +425,67 @@ def test_alphabet_at_matches_schedule_walk_sampled_to_a_million():
     positions.update(rng.randrange(1, config.n + 1) for _ in range(20000))
     for i in sorted(positions):
         _same_descriptor(config, i)
+
+
+def _regime_edges(config):
+    """Every position of the window's growth, and positions around each
+    place a level's slots change (i = s, 1 or s mod h, h + 1)."""
+    positions = set(range(1, config.window_bits + 2))
+    for lv in build_schedule(config.n, config.s_min, config.a).levels:
+        h = lv.s * lv.s // 2
+        for base in range(0, config.n, h):
+            for edge in (base + 1, base + lv.s, base + h + 1):
+                positions.update(range(edge - 2, edge + 3))
+    return sorted(i for i in positions if 1 <= i <= config.n)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "descending", "repeated"])
+def test_alphabet_at_in_any_order_matches_schedule_walk(order):
+    config = PipelineConfig(n=1 << 14)
+    positions = _regime_edges(config)
+    rng = random.Random(28)
+    if order == "shuffled":
+        rng.shuffle(positions)
+    elif order == "descending":
+        positions.reverse()
+    else:
+        # Each position twice in a row, then a jump to any position.
+        positions = [j for i in positions for j in (i, i, rng.choice(positions))]
+    for i in positions:
+        _same_descriptor(config, i)
+
+
+def test_alphabet_at_keeps_a_regime_per_config():
+    # Configs asked in turn at the same positions: each answer is that
+    # config's own, never a regime another config left.
+    configs = [PipelineConfig(n=1 << 14), PipelineConfig(n=3000, s_min=20),
+               PipelineConfig(n=1 << 14, a=4), PipelineConfig(n=2000)]
+    for i in range(1, 2001):
+        for config in configs:
+            _same_descriptor(config, i)
+
+
+def test_alphabet_at_leaves_config_equality_hash_and_repr():
+    config, twin = PipelineConfig(n=1 << 14), PipelineConfig(n=1 << 14)
+    before = (hash(config), repr(config))
+    for i in (1, 500, 200, 200, 1 << 14):
+        alphabet_at(config, i)
+    assert config == twin and twin == config
+    assert (hash(config), repr(config)) == before == (hash(twin), repr(twin))
+    assert dataclasses.astuple(config) == dataclasses.astuple(twin)
+
+
+def test_alphabet_at_refuses_positions_that_are_not_ints():
+    # A float position used to be accounted: 5.5 as a window of 5.5 bits,
+    # 200.5 as 125 bits.  The check comes before the config's regime is
+    # read, so a position inside it is refused as well.  A bool is an int,
+    # as push takes True and False.
+    config = PipelineConfig(n=1 << 14)
+    for bad in (5.5, 5.0, 200.5, "5"):
+        alphabet_at(config, int(float(bad)))
+        with pytest.raises(TypeError):
+            alphabet_at(config, bad)
+    assert alphabet_at(config, True) == alphabet_at(config, 1)
 
 
 def test_level_c_delta_refuses_as_build_code_c():
