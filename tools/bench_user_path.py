@@ -1,41 +1,46 @@
-"""Per-bit cost of the library's user path, for two or more source trees
-side by side.
+"""Per-bit cost of the library's user path, for a base and a changed source
+tree side by side.
 
 Usage (from the repository root):
 
     python3 tools/bench_user_path.py --tree before=PATH --tree after=. \
-        --label before_vs_after [--passes 7] [--runs 6] [--seed 0]
+        --label before_vs_after
 
 Each PATH is a source tree: a directory holding `src/treecodes` (or the
-`src` directory itself).  All trees are imported into this one process
-under their own package names, so a pass of one tree and a pass of the
-next run back to back on the same warm interpreter, and the order of the
-trees alternates from pass to pass.
+`src` directory itself); the first `--tree` is the base.  Both trees are
+imported into this one process under their own package names, so a pass
+of one tree and a pass of the other run back to back on the same warm
+interpreter, and the order of the trees alternates from pass to pass.
 
 One pass runs six loops over one seeded stream of n = 2^14 bits, each on
 a fresh `PipelineConfig` and `PipelineEncoder` (an untimed warm-up pass
-has built the level codes), keeping nothing between bits.  The first is
-`PipelineEncoder.push_raw` alone; each of the others adds one call per bit
-to the loop before it:
+has built the level codes), keeping nothing between bits.  The six loops
+take turns over blocks of 256 bits, so a slow spell of the host is shared
+by all of them.  Every loop is `for i, b in enumerate(block, i0)`; the
+first calls `PipelineEncoder.push_raw` alone, and each of the others adds
+exactly one call per bit to the loop before it:
 
-1. `PipelineEncoder.push`;
+1. `PipelineEncoder.push`, in place of `push_raw`;
 2. then `FinalSymbol.to_symbol` of the pushed symbol;
 3. then `core.serialize_symbol` of that tuple;
 4. then `pipeline.alphabet_at(config, i).total_bits`: `path`, the four
    library calls per bit as `encode-chs` makes them;
-5. then `cli._emit` of the record into a StringIO: `path_and_emit`.
+5. then `cli._emit` of the record `{"i", "symbol", "gamma_bits"}` into a
+   StringIO, the record's dict included: `path_and_emit`.
 
-A call's cost per bit is the difference of the loops with and without it,
-taken within a pass.
+The `push` row is the whole `push` loop.  Each later call's cost per bit
+is the difference of the loops with and without it, taken within a pass,
+so a single pass can read slightly below zero for a cheap call.  The
+output of the path is hashed once per tree, outside the timed loops.
 
-Then `--runs` processes per tree, again alternating, run
+Then RUNS processes per tree, again alternating, run
 `treecodes encode-chs --n 16384` on one seeded input, start-up and level
 code builds included; each run's output is hashed, so the file also
 records whether the trees write the same bytes.
 
 The result is `BENCH_<label>.json` in --out-dir: per tree and row the
 median and quartiles in microseconds per bit, the host, and the ratio of
-every tree's medians to the first tree's.
+the change's medians to the base's.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ import tempfile
 import time
 
 N = 1 << 14
+PASSES = 9
+RUNS = 6  # encode-chs processes per tree
+SEED = 0
+BLOCK = 256  # bits each loop runs before the next loop takes its turn
 # Each loop adds one call per bit to the loop before it: the path is the
 # four library calls per bit as encode-chs makes them, and the last loop
 # adds encode-chs's record writer (JSON and flush, into a StringIO).
@@ -90,51 +99,84 @@ def _bits(seed, n):
     return [(x >> t) & 1 for t in range(n)]
 
 
-def one_pass(pipeline, core, cli, bits):
-    """Microseconds per bit of each loop over one stream, each on a fresh
-    config and encoder, and the digest of the path's output.  Nothing is
-    kept between bits, as in encode-chs, so no loop pays for collecting
-    what an earlier one stored."""
-    ns = time.perf_counter_ns
-    n = len(bits)
+def path_digest(pipeline, core, bits):
+    """sha256 of the path's output over one stream: each bit's symbol text
+    and gamma_bits.  Untimed; it also builds the level codes."""
+    cfg = pipeline.PipelineConfig(n=len(bits))
+    push = pipeline.PipelineEncoder(cfg).push
+    h = hashlib.sha256()
+    for i, b in enumerate(bits, 1):
+        text = core.serialize_symbol(push(b).to_symbol())
+        h.update(b"%s\t%d\n" % (text.encode(), pipeline.alphabet_at(cfg, i).total_bits))
+    return h.hexdigest()
+
+
+def _loops(pipeline, core, cli, n):
+    """The six loops, one per row of ("push_raw",) + CUMULATIVE, each on
+    its own fresh config and encoder; each takes a block of bits and the
+    position of its first bit."""
     serialize = core.serialize_symbol
     alphabet_at = pipeline.alphabet_at
     emit = cli._emit
-    out = {}
-    h = hashlib.sha256()
+    loops = []
     for row in ("push_raw",) + CUMULATIVE:
-        gc.collect()
         cfg = pipeline.PipelineConfig(n=n)
         enc = pipeline.PipelineEncoder(cfg)
         push = enc.push
+        push_raw = enc.push_raw
         sink = io.StringIO()
-        t = ns()
         if row == "push_raw":
-            push_raw = enc.push_raw
-            for b in bits:
-                push_raw(b)
+            def loop(block, i0, push_raw=push_raw):
+                for i, b in enumerate(block, i0):
+                    push_raw(b)
         elif row == "push":
-            for b in bits:
-                push(b)
+            def loop(block, i0, push=push):
+                for i, b in enumerate(block, i0):
+                    push(b)
         elif row == "+to_symbol":
-            for b in bits:
-                push(b).to_symbol()
+            def loop(block, i0, push=push):
+                for i, b in enumerate(block, i0):
+                    push(b).to_symbol()
         elif row == "+serialize_symbol":
-            for b in bits:
-                serialize(push(b).to_symbol())
+            def loop(block, i0, push=push):
+                for i, b in enumerate(block, i0):
+                    text = serialize(push(b).to_symbol())
         elif row == "+alphabet_at":
-            i = 0
-            for b in bits:
-                i += 1
-                text = serialize(push(b).to_symbol())
-                gamma = alphabet_at(cfg, i).total_bits
-                h.update(b"%s\t%d\n" % (text.encode(), gamma))
+            def loop(block, i0, push=push, cfg=cfg):
+                for i, b in enumerate(block, i0):
+                    text = serialize(push(b).to_symbol())
+                    gamma = alphabet_at(cfg, i).total_bits
         else:
-            for i, b in enumerate(bits, 1):
-                emit(sink, {"i": i, "symbol": serialize(push(b).to_symbol()),
-                            "gamma_bits": alphabet_at(cfg, i).total_bits})
-        out[row] = (ns() - t) / 1e3 / n
-    return out, h.hexdigest()
+            def loop(block, i0, push=push, cfg=cfg, sink=sink):
+                for i, b in enumerate(block, i0):
+                    text = serialize(push(b).to_symbol())
+                    gamma = alphabet_at(cfg, i).total_bits
+                    emit(sink, {"i": i, "symbol": text, "gamma_bits": gamma})
+        loops.append((row, loop))
+    return loops
+
+
+def one_pass(pipeline, core, cli, bits):
+    """Microseconds per bit of each loop over one stream.  The loops
+    advance together, BLOCK bits at a time, in an order that rotates from
+    block to block, so a slow spell of the host lands on all of them
+    rather than on whichever loop it overlaps.  Nothing is kept between
+    bits, as in encode-chs, so no loop pays for collecting what an earlier
+    one stored."""
+    ns = time.perf_counter_ns
+    n = len(bits)
+    loops = _loops(pipeline, core, cli, n)
+    spent = [0] * len(loops)
+    order = list(range(len(loops)))
+    gc.collect()
+    for start in range(0, n, BLOCK):
+        block = bits[start:start + BLOCK]
+        for k in order:
+            t = ns()
+            loops[k][1](block, start + 1)
+            spent[k] += ns() - t
+        order.append(order.pop(0))
+    return {row: spent[k] / 1e3 / n for k, (row, _) in enumerate(loops)}
 
 
 def _cli_run(src, infile, outfile, n):
@@ -157,15 +199,12 @@ def _summary(values):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
-                    help="a source tree to measure; the first is the base of the ratios")
+                    help="give it twice: the base tree, then the changed tree")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--passes", type=int, default=7)
-    ap.add_argument("--runs", type=int, default=6, help="encode-chs processes per tree")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args(argv)
-    if args.passes < 2 or args.runs < 2:
-        ap.error("quartiles need --passes and --runs of at least 2")
+    if len(args.tree) != 2:
+        ap.error("give exactly two --tree NAME=PATH: the base, then the change")
 
     trees = []
     for k, spec in enumerate(args.tree):
@@ -174,16 +213,19 @@ def main(argv=None):
             ap.error("--tree takes NAME=PATH, got %r" % spec)
         src = _src_dir(path)
         trees.append((name, src, _load("_bench_tree%d" % k, src)))
+    if trees[0][0] == trees[1][0]:
+        ap.error("the two trees need different names")
 
-    bits = _bits(args.seed, N)
+    bits = _bits(SEED, N)
     per_bit = {name: {row: [] for row in ROWS} for name, _, _ in trees}
     digests = {}
     for name, _, modules in trees:  # warm-up: level codes, caches
-        digests[name] = one_pass(*modules, bits)[1]
-    for p in range(args.passes):
+        digests[name] = path_digest(modules[0], modules[1], bits)
+        one_pass(*modules, bits)
+    for p in range(PASSES):
         order = trees if p % 2 == 0 else trees[::-1]
         for name, _, modules in order:
-            loops, _ = one_pass(*modules, bits)
+            loops = one_pass(*modules, bits)
             prev = 0.0
             for call, row in zip(CALLS, CUMULATIVE):
                 per_bit[name][call].append(loops[row] - prev)
@@ -197,8 +239,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "in.txt")
         with open(infile, "w") as fh:
-            fh.write("%0*x\n" % (N // 4, random.Random("bench-cli-%d" % args.seed).getrandbits(N)))
-        for r in range(args.runs):
+            fh.write("%0*x\n" % (N // 4, random.Random("bench-cli-%d" % SEED).getrandbits(N)))
+        for r in range(RUNS):
             order = trees if r % 2 == 0 else trees[::-1]
             for name, src, _ in order:
                 us, digest = _cli_run(src, infile, os.path.join(tmp, "out.txt"), N)
@@ -209,9 +251,9 @@ def main(argv=None):
     record = {
         "label": args.label,
         "n": N,
-        "seed": args.seed,
-        "passes": args.passes,
-        "runs": args.runs,
+        "seed": SEED,
+        "passes": PASSES,
+        "runs": RUNS,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "unit": "us per bit",
