@@ -9,7 +9,6 @@ from .core import (
     FixedBits,
     IntPair,
     LengthMismatchError,
-    SymbolTuple,
     hamming_distance,
     hamming_weight,
     serialize_symbol,

@@ -148,7 +148,7 @@ def _cmd_encode_chs(args, out):
         sym = enc.push(b)
         _emit(out, {
             "i": i,
-            "symbol": serialize_symbol(sym.to_symbol()),
+            "symbol": serialize_symbol(sym),
             "gamma_bits": alphabet_at(config, i).total_bits,
         })
     return 0
@@ -295,9 +295,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     handler = handlers[args.cmd]
-    out = _open_out(args.output)
     try:
-        return handler(args, out)
+        out = _open_out(args.output)
+        try:
+            return handler(args, out)
+        finally:
+            # Inside the outer try: closing flushes, which can fail too.
+            if out is not sys.stdout:
+                out.close()
     except (ValueError, ArithmeticError, BudgetExceededError, MemoryError) as exc:
         # Covers infeasible code parameters, schedule errors, enumerations
         # larger than their budget and block codes whose rows do not fit.
@@ -309,9 +314,11 @@ def main(argv=None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    finally:
-        if out is not sys.stdout and not out.closed:
-            out.close()
+    except OSError as exc:
+        # After BrokenPipeError, its subclass: an --input that cannot be
+        # read or an --output that cannot be written.
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

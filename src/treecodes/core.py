@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 
 class LengthMismatchError(ValueError):
@@ -46,9 +46,9 @@ class _Blank:
 BLANK = _Blank()
 
 
-# Slotted, as are SymbolTuple, AlphabetDescriptor, LaggedSymbol and
-# FinalSymbol: one is made per symbol on the pipeline's per-bit path, whose
-# wrappers fill the fields of the others through their slot descriptors.
+# Slotted, as are LaggedSymbol, FinalSymbol and AlphabetDescriptor: one is
+# made per symbol on the pipeline's per-bit path, whose wrappers fill the
+# fields of the others through their slot descriptors.
 @dataclass(frozen=True, slots=True)
 class FixedBits:
     """A fixed-width bit string packed into an int, MSB first."""
@@ -80,14 +80,29 @@ class IntPair:
 
 
 @dataclass(frozen=True, slots=True)
-class SymbolTuple:
-    """A composite symbol made of other output symbols."""
+class LaggedSymbol:
+    """The per-position pair of the untruncated lagged code: (older
+    instance, newer instance); blank components where an instance has not
+    emitted."""
 
-    parts: tuple
+    left: object
+    right: object
 
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("SymbolTuple must have at least one part")
+
+@dataclass(frozen=True, slots=True)
+class FinalSymbol:
+    """One output symbol of the pipeline: the input window plus one lagged
+    pair per active level (levels with s_g > i are absent, not blank)."""
+
+    window: FixedBits
+    levels: Tuple[LaggedSymbol, ...]
+
+    def to_symbol(self) -> "FinalSymbol":
+        """The symbol itself.  serialize_symbol writes a FinalSymbol
+        directly, so there is nothing to convert; this stays for callers
+        written against the older API, among them the benchmark harness
+        (perfbench/run.py) and tools/bench_user_path.py."""
+        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,49 +151,32 @@ _HEX_FORMATS = tuple("%%0%dx" % max(1, (w + 3) // 4) for w in range(256))
 _HEX_WIDTHS = len(_HEX_FORMATS)
 
 
-def _fixed_text(sym: FixedBits) -> str:
-    w = sym.width
-    if w < _HEX_WIDTHS:
-        return _HEX_FORMATS[w] % sym.value
-    return format(sym.value, "0%dx" % ((w + 3) // 4))
+def _part_text(part) -> str:
+    # The one formatter of FixedBits text, and of every part of a composite
+    # symbol: the pipeline's parts are FixedBits and BLANK, and any other
+    # part type goes through serialize_symbol.
+    if isinstance(part, FixedBits):
+        w = part.width
+        if w < _HEX_WIDTHS:
+            return _HEX_FORMATS[w] % part.value
+        return format(part.value, "0%dx" % ((w + 3) // 4))
+    if part is BLANK:
+        return "-"
+    return serialize_symbol(part)
 
 
-def _tuple_text(sym: SymbolTuple) -> str:
-    # The pipeline's symbols are tuples of FixedBits, BLANK and pairs of
-    # those.  One token list takes the text of every part, a nested tuple's
-    # parts in place between its brackets, so a pair costs no call and no
-    # join of its own; any other part type goes through serialize_symbol.
-    out = ["("]
-    append = out.append
-    for p in sym.parts:
-        kind = type(p)
-        if kind is FixedBits:
-            w = p.width
-            append(_HEX_FORMATS[w] % p.value if w < _HEX_WIDTHS else _fixed_text(p))
-        elif p is BLANK:
-            append("-")
-        elif kind is SymbolTuple:
-            append("(")
-            for q in p.parts:
-                if type(q) is FixedBits:
-                    w = q.width
-                    append(_HEX_FORMATS[w] % q.value if w < _HEX_WIDTHS else _fixed_text(q))
-                elif q is BLANK:
-                    append("-")
-                else:
-                    append(serialize_symbol(q))
-                append(",")
-            out[-1] = ")"  # the comma after the last inner part
-        else:
-            append(serialize_symbol(p))
-        append(",")
-    out[-1] = ")"
-    return "".join(out)
+def _lagged_text(sym: LaggedSymbol) -> str:
+    return "(%s,%s)" % (_part_text(sym.left), _part_text(sym.right))
+
+
+def _final_text(sym: FinalSymbol) -> str:
+    return "(%s)" % ",".join([_part_text(sym.window), *map(_lagged_text, sym.levels)])
 
 
 _TEXT_BY_TYPE = {
-    SymbolTuple: _tuple_text,
-    FixedBits: _fixed_text,
+    FinalSymbol: _final_text,
+    LaggedSymbol: _lagged_text,
+    FixedBits: _part_text,
     _Blank: lambda sym: "-",
     int: str,
     IntPair: lambda sym: "(%d,%d)" % (sym.a, sym.b),
@@ -189,10 +187,12 @@ def serialize_symbol(sym) -> str:
     """Render an output symbol using the package-wide text conventions.
 
     Blank -> "-";  FixedBits -> lowercase hex, MSB first (width is carried
-    out of band);  plain ints (Nat) -> decimal;  IntPair and SymbolTuple ->
-    comma-joined components in parentheses.  A negative integer, which only
-    the (I, A) code of a signed matrix emits, is written in decimal with a
-    leading "-", as in "(1,-2)"; the blank is a lone "-" with no digits.
+    out of band);  plain ints (Nat) -> decimal;  IntPair, LaggedSymbol and
+    FinalSymbol -> comma-joined components in parentheses, so a pipeline
+    symbol reads "(window,(left,right),...)" and a lone pair
+    "(left,right)".  A negative integer, which only the (I, A) code of a
+    signed matrix emits, is written in decimal with a leading "-", as in
+    "(1,-2)"; the blank is a lone "-" with no digits.
 
     The exact package types are looked up by type(sym) first, since every
     symbol of a stream passes through here; anything else (bool,

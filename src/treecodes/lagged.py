@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import BLANK, FixedBits
+from .core import BLANK, FixedBits, LaggedSymbol
 from .ecc import CodeSpecC
 from .linearcode import BoostParams
 from .packing import Packing, packing_for
@@ -228,17 +228,6 @@ def encode_truncated_lagged(params: LaggedParams, bits) -> tuple:
     """Encode a whole bit sequence (length <= s^2) through the truncated code."""
     enc = StreamEncoderTruncatedLagged(params)
     return tuple(enc.push(b) for b in bits)
-
-
-# Slotted: lagged_symbol sets the fields through the slot descriptors, and
-# an instance takes 56 bytes instead of 96 (Python 3.11).
-@dataclass(frozen=True, slots=True)
-class LaggedSymbol:
-    """The per-position pair of the untruncated code: (older instance,
-    newer instance); blank components where an instance has not emitted."""
-
-    left: object
-    right: object
 
 
 def lagged_symbol(params: LaggedParams, left: Optional[int], right: Optional[int]) -> LaggedSymbol:

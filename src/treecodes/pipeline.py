@@ -34,9 +34,9 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import List, Optional, Tuple
 
-from .core import AlphabetDescriptor, FixedBits, SymbolTuple
+from .core import AlphabetDescriptor, FinalSymbol, FixedBits
 from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c
-from .lagged import LaggedParams, LaggedSymbol, UntruncatedCore, lagged_symbol
+from .lagged import LaggedParams, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
 from .packing import packing_for
 
@@ -193,31 +193,6 @@ def level_code(s: int, delta: Fraction, recipe: str, input_bits: int) -> CodeSpe
     """The block code of a level, shared by every encoder and clone in the
     process with the same code parameters, so its rows are built once."""
     return build_code_c(s, delta, recipe, input_bits=input_bits)
-
-
-@dataclass(frozen=True, slots=True)
-class FinalSymbol:
-    """One output symbol: the input window plus one lagged pair per active
-    level (levels with s_g > i are absent, not blank)."""
-
-    window: FixedBits
-    levels: Tuple[LaggedSymbol, ...]
-
-    def to_symbol(self) -> SymbolTuple:
-        # Filled through the slot descriptor, skipping SymbolTuple's
-        # __post_init__, whose "at least one part" check holds here: the
-        # window is always a part, and each level pair has two.
-        parts = [self.window]
-        for lv in self.levels:
-            pair = _new(SymbolTuple)
-            _set_parts(pair, (lv.left, lv.right))
-            parts.append(pair)
-        sym = _new(SymbolTuple)
-        _set_parts(sym, tuple(parts))
-        return sym
-
-
-_set_parts = SymbolTuple.parts.__set__
 
 
 class PipelineEncoder:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +201,57 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert target.read_text().strip() == "3/4"
     capsys.readouterr()
+
+
+def test_missing_input_file_is_one_error_line(tmp_path, capsys):
+    code = main(["encode-chs", "--n", "100", "--input", str(tmp_path / "missing.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "missing.txt" in err
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "d" / "x"
+    code = main(["--output", str(target), "schedule", "--n", "100"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_output_device_is_one_error_line(capsys):
+    # Opening succeeds; the flush after each record fails, and so does the
+    # flush when the file is closed.
+    code = main(["--output", "/dev/full", "schedule", "--n", "100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # A reader that stops early (as `head -n 1` does) closes the pipe while
+    # encode-chs is still writing: exit 0 and nothing on stderr.
+    n = 16384
+    bits = tmp_path / "bits.txt"
+    bits.write_text("01" * (n // 2) + "\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treecodes.cli", "encode-chs", "--n", str(n), "--input", str(bits)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert json.loads(first)["i"] == 1
+    assert code == 0
+    assert err == b""

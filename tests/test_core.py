@@ -13,10 +13,11 @@ import treecodes
 from treecodes.core import (
     BLANK,
     AlphabetDescriptor,
+    FinalSymbol,
     FixedBits,
     IntPair,
+    LaggedSymbol,
     LengthMismatchError,
-    SymbolTuple,
     hamming_distance,
     hamming_weight,
     serialize_symbol,
@@ -46,8 +47,10 @@ def test_serialize_symbol_forms():
     assert serialize_symbol(FixedBits(5, 3)) == "03"
     assert serialize_symbol(7) == "7"
     assert serialize_symbol(IntPair(2, 13)) == "(2,13)"
-    inner = SymbolTuple((FixedBits(4, 1), BLANK))
-    assert serialize_symbol(inner) == "(1,-)"
+    pair = LaggedSymbol(FixedBits(4, 1), BLANK)
+    assert serialize_symbol(pair) == "(1,-)"
+    assert serialize_symbol(FinalSymbol(FixedBits(5, 3), ())) == "(03)"
+    assert serialize_symbol(FinalSymbol(FixedBits(5, 3), (pair, pair))) == "(03,(1,-),(1,-))"
 
 
 def _serialize_reference(sym):
@@ -62,8 +65,11 @@ def _serialize_reference(sym):
         return str(sym)
     if isinstance(sym, IntPair):
         return "(%d,%d)" % (sym.a, sym.b)
-    if isinstance(sym, SymbolTuple):
-        return "(" + ",".join(_serialize_reference(p) for p in sym.parts) + ")"
+    if isinstance(sym, LaggedSymbol):
+        return "(" + _serialize_reference(sym.left) + "," + _serialize_reference(sym.right) + ")"
+    if isinstance(sym, FinalSymbol):
+        parts = (sym.window,) + sym.levels
+        return "(" + ",".join(_serialize_reference(p) for p in parts) + ")"
     raise TypeError("cannot serialize %r" % (sym,))
 
 
@@ -71,12 +77,12 @@ class _TaggedBits(FixedBits):
     pass
 
 
-class _TaggedTuple(SymbolTuple):
+class _TaggedPair(LaggedSymbol):
     pass
 
 
 def _random_symbol(rng, depth):
-    kind = rng.randrange(9 if depth < 4 else 7)
+    kind = rng.randrange(10 if depth < 4 else 7)
     if kind == 0:
         return BLANK
     if kind in (1, 2):
@@ -89,8 +95,16 @@ def _random_symbol(rng, depth):
         return rng.random() < 0.5
     if kind in (5, 6):
         return IntPair(rng.randrange(-999, 10**9), rng.randrange(-10**12, 10**12))
-    cls = SymbolTuple if kind == 7 else _TaggedTuple
-    return cls(tuple(_random_symbol(rng, depth + 1) for _ in range(rng.randrange(1, 5))))
+    if kind in (7, 8):
+        cls = LaggedSymbol if kind == 7 else _TaggedPair
+        return cls(_random_symbol(rng, depth + 1), _random_symbol(rng, depth + 1))
+    levels = tuple(_random_pair(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return FinalSymbol(_random_symbol(rng, depth + 1), levels)
+
+
+def _random_pair(rng, depth):
+    cls = LaggedSymbol if rng.random() < 0.5 else _TaggedPair
+    return cls(_random_symbol(rng, depth), _random_symbol(rng, depth))
 
 
 def test_serialize_symbol_matches_reference_on_random_trees():
@@ -105,8 +119,9 @@ def test_serialize_symbol_matches_reference_on_random_trees():
 
 def test_serialize_symbol_rejects_unknown_types():
     for bad in (1.5, "01", [1], (FixedBits(1, 1),), None,
-                SymbolTuple((FixedBits(2, 1), 2.0)),
-                SymbolTuple((SymbolTuple((BLANK, object())),))):
+                LaggedSymbol(FixedBits(2, 1), 2.0),
+                FinalSymbol(FixedBits(1, 0), (LaggedSymbol(BLANK, object()),)),
+                FinalSymbol(2.0, ())):
         with pytest.raises(TypeError):
             serialize_symbol(bad)
         with pytest.raises(TypeError):
@@ -115,12 +130,12 @@ def test_serialize_symbol_rejects_unknown_types():
 
 @pytest.mark.parametrize("config", [PipelineConfig(n=3000), PipelineConfig(n=586, recipe="concat")])
 def test_serialize_symbol_of_pushed_symbols_matches_reference(config):
-    # The serializer's nested-pair loop on the symbols the pipeline makes,
-    # with blank and live slots (rs levels of 5-11 bits, concat of 63-154).
+    # The serializer on the symbols the pipeline makes, with blank and live
+    # slots (rs levels of 5-11 bits, concat of 63-154).
     enc = PipelineEncoder(config)
     rng = random.Random(29)
     for i in range(1, config.n + 1):
-        sym = enc.push(rng.randrange(2)).to_symbol()
+        sym = enc.push(rng.randrange(2))
         assert serialize_symbol(sym) == _serialize_reference(sym), i
 
 
@@ -131,11 +146,14 @@ def test_slotted_symbols_copy_and_pickle():
     for _ in range(2999):
         enc.push(rng.randrange(2))
     alphabet_at(config, 2999)
+    pushed = enc.push(1)  # filled through the slot descriptors, as are its pairs
     samples = [
         FixedBits(5, 3),
         FixedBits(300, (1 << 299) + 5),
-        SymbolTuple((FixedBits(4, 1), BLANK, SymbolTuple((BLANK, IntPair(2, 13))))),
-        enc.push(1).to_symbol(),  # filled through the slot descriptors
+        LaggedSymbol(FixedBits(4, 1), IntPair(2, 13)),
+        FinalSymbol(FixedBits(4, 1), (LaggedSymbol(BLANK, FixedBits(6, 9)),)),
+        pushed,
+        pushed.levels[-1],
         AlphabetDescriptor(5, 11, (("window", 5), ("L1.left", "blank"), ("L1.right", 6))),
         alphabet_at(config, 3000),  # inside the regime of 2999, also filled by slot
     ]

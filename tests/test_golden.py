@@ -85,7 +85,7 @@ def pipeline_boosted_lines():
     raw, wrapped = PipelineEncoder(cfg), PipelineEncoder(cfg)
     lines = [repr(raw.push_raw(b)) for b in bits]
     for i, b in enumerate(bits, start=1):
-        sym = wrapped.push(b).to_symbol()
+        sym = wrapped.push(b)
         lines.append("%s %d" % (serialize_symbol(sym), alphabet_at(cfg, i).total_bits))
     return lines
 

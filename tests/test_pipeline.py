@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import treecodes.pipeline as pipeline
-from treecodes.core import BLANK, AlphabetDescriptor, FixedBits, SymbolTuple
+import treecodes
+from treecodes import core, lagged
+from treecodes.core import BLANK, AlphabetDescriptor, FixedBits, serialize_symbol
 from treecodes.ecc import InfeasibleCodeError, build_code_c
 from treecodes.lagged import INTERN_BITS, LaggedSymbol, UntruncatedCore
 from treecodes.linearcode import BoostParams
@@ -170,11 +172,7 @@ def _assert_push_is_constructor_built(config, enc, twin, bits):
         raw = twin.push_raw(bit)
         ref = _constructor_built(config, raw)
         assert sym == ref and hash(sym) == hash(ref) and repr(sym) == repr(ref), twin.pos
-        tup = sym.to_symbol()
-        ref_tup = SymbolTuple((ref.window,) + tuple(
-            [SymbolTuple((lv.left, lv.right)) for lv in ref.levels]))
-        assert tup == ref_tup and hash(tup) == hash(ref_tup), twin.pos
-        assert repr(tup) == repr(ref_tup), twin.pos
+        assert sym.to_symbol() is sym, twin.pos
         for params, lv, pair in zip(config._levels, sym.levels, raw[2]):
             for component, v in zip((lv.left, lv.right), pair):
                 assert component is (BLANK if v is None else params.symbol(v))
@@ -182,9 +180,8 @@ def _assert_push_is_constructor_built(config, enc, twin, bits):
 
 
 def test_push_symbols_equal_constructor_built_ones():
-    # push fills FinalSymbol and LaggedSymbol without their __init__, and
-    # to_symbol its SymbolTuples; they must be the symbols the constructors
-    # build from push_raw's tuple.  The clone is taken just before level 1's
+    # push fills FinalSymbol and LaggedSymbol without their __init__; they
+    # must be the symbols the constructors build from push_raw's tuple.  The clone is taken just before level 1's
     # first rollover (h = 128).
     cfg = PipelineConfig(n=3000)
     rng = random.Random(27)
@@ -201,6 +198,27 @@ def test_push_symbols_equal_constructor_built_ones():
     for name in ("left", "right"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sym.levels[0], name, None)
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(n=3000), PipelineConfig(n=586, recipe="concat")])
+def test_pushed_symbols_serialize_directly(config):
+    # to_symbol is kept for older callers and returns the symbol itself, so
+    # its text is the pushed symbol's, which is the constructor-built one's.
+    enc, twin = PipelineEncoder(config), PipelineEncoder(config)
+    rng = random.Random(31)
+    for i in range(1, config.n + 1):
+        bit = rng.randrange(2)
+        sym = enc.push(bit)
+        text = serialize_symbol(sym)
+        assert text == serialize_symbol(sym.to_symbol()), i
+        assert text == serialize_symbol(_constructor_built(config, twin.push_raw(bit))), i
+
+
+def test_symbol_types_live_in_core():
+    # One class per output symbol, reachable from the modules that make it.
+    assert lagged.LaggedSymbol is treecodes.LaggedSymbol is core.LaggedSymbol
+    assert pipeline.FinalSymbol is treecodes.FinalSymbol is core.FinalSymbol
+    assert not hasattr(treecodes, "SymbolTuple") and not hasattr(core, "SymbolTuple")
 
 
 def test_level_codes_built_once_per_process(monkeypatch):

@@ -21,8 +21,10 @@ first calls `PipelineEncoder.push_raw` alone, and each of the others adds
 exactly one call per bit to the loop before it:
 
 1. `PipelineEncoder.push`, in place of `push_raw`;
-2. then `FinalSymbol.to_symbol` of the pushed symbol;
-3. then `core.serialize_symbol` of that tuple;
+2. then `FinalSymbol.to_symbol` of the pushed symbol, which returns the
+   symbol itself in trees whose `serialize_symbol` writes a `FinalSymbol`
+   directly (older trees copy it into nested tuples);
+3. then `core.serialize_symbol` of what `to_symbol` returned;
 4. then `pipeline.alphabet_at(config, i).total_bits`: `path`, the four
    library calls per bit as `encode-chs` makes them;
 5. then `cli._emit` of the record `{"i", "symbol", "gamma_bits"}` into a
