@@ -149,6 +149,10 @@ def hamming_weight(x: Sequence, zero) -> int:
 # "%0<d>x" with d = max(1, ceil(width/4)) hex digits, for widths below 256.
 _HEX_FORMATS = tuple("%%0%dx" % max(1, (w + 3) // 4) for w in range(256))
 _HEX_WIDTHS = len(_HEX_FORMATS)
+# The text of every value of each width below 11 (2,047 strings): the
+# pipeline's level symbols are 5-10 bits wide at the default rs config.
+_NARROW_TEXT = tuple(tuple([_HEX_FORMATS[w] % v for v in range(1 << w)]) for w in range(11))
+_NARROW_WIDTHS = len(_NARROW_TEXT)
 
 
 def _part_text(part) -> str:
@@ -157,6 +161,8 @@ def _part_text(part) -> str:
     # part type goes through serialize_symbol.
     if isinstance(part, FixedBits):
         w = part.width
+        if w < _NARROW_WIDTHS:
+            return _NARROW_TEXT[w][part.value]
         if w < _HEX_WIDTHS:
             return _HEX_FORMATS[w] % part.value
         return format(part.value, "0%dx" % ((w + 3) // 4))

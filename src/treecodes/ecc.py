@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
-from operator import xor
+from operator import getitem, xor
 from typing import List, Optional, Sequence, Tuple
 
 MAX_FIELD_DEGREE = 24
@@ -244,15 +244,27 @@ class CodeSpecC:
         (input_bits <= MEMO_MAX_INPUT_BITS): exhaustive enumerations over
         small codes re-encode the same block inputs many times, while the
         wide pipeline level codes would only grow it, since they rarely
-        see an input twice.  A memo miss goes through encode_int, which
-        refuses an input out of range, so a hit pays for no check.
+        see an input twice.  A memo miss refuses an input out of range, so
+        a hit pays for no check.
+
+        Up to 1,024 input bits a miss XORs one lane-laid table entry per
+        input byte (see _byte_tables), all in C, and unpacks the lanes
+        directly; wider codes split their encode_int codeword.
         """
         memo = self._memo
         if memo is not None:
             got = memo.get(packed)
             if got is not None:
                 return got
-        got = self.split_codeword(self.encode_int(packed))
+        if packed < 0 or packed >> self.input_bits:
+            raise ValueError("input must be in [0, 2^%d)" % self.input_bits)
+        tables = self._byte_tables
+        if tables:
+            _, nbytes, unpack = self._split_plan
+            lanes = reduce(xor, map(getitem, tables, packed.to_bytes(len(tables), "little")), 0)
+            got = unpack(lanes.to_bytes(nbytes, "big"))
+        else:
+            got = self.split_codeword(self.encode_int(packed))
         if memo is not None:
             memo[packed] = got
         return got
@@ -267,11 +279,16 @@ class CodeSpecC:
         whole bytes, read by one int.from_bytes each.  The masks are built
         on the first call and kept with the code.
         """
-        steps, nbytes, unpack = self._split_plan
-        for mask, shift in steps:
+        _, nbytes, unpack = self._split_plan
+        return unpack(self._spread(out).to_bytes(nbytes, "big"))
+
+    def _spread(self, out: int) -> int:
+        # The lane layout of a packed codeword: a fixed bit permutation, so
+        # it commutes with XOR.
+        for mask, shift in self._split_plan[0]:
             moved = out & mask
             out = (out ^ moved) | (moved << shift)
-        return unpack(out.to_bytes(nbytes, "big"))
+        return out
 
     @cached_property
     def _split_plan(self):
@@ -310,32 +327,26 @@ class CodeSpecC:
     def encode_int(self, x: int) -> int:
         """Encode input_bits packed into an int; returns s*c_delta packed
         bits.  Raises ValueError for x outside [0, 2^input_bits), whose
-        extra bits both paths below would misread."""
+        extra bits the pass below would misread."""
         if x < 0 or x >> self.input_bits:
             raise ValueError("input must be in [0, 2^%d)" % self.input_bits)
-        tables = self._byte_tables
-        if tables:
-            out = 0
-            k = 0
-            while x:
-                out ^= tables[k][x & 0xFF]
-                x >>= 8
-                k += 1
-            return out
-        # Wide inputs: the rows that x's bits select, most significant bit
-        # first (row i is bit input_bits-1-i), XORed in one C-level pass.
+        # The rows that x's bits select, most significant bit first (row i
+        # is bit input_bits-1-i), XORed in one C-level pass.
         bits = format(x, "0%db" % self.input_bits).encode().translate(_BIT_BYTES)
         return reduce(xor, compress(self.generator_rows, bits), 0)
 
     @cached_property
     def _byte_tables(self) -> tuple:
-        # Per-byte lookup tables make encode_int ~8x fewer loop iterations.
-        # Skipped for very wide inputs, where the tables would be large,
-        # block completions are rare and the row-selecting pass is faster.
-        rows = self.generator_rows
+        # The method of four Russians: table k holds, for each value of
+        # input byte k (least significant first), the XOR of the rows that
+        # byte selects, already spread into the split plan's lanes, so
+        # symbols_for reads its symbols without a split.  Skipped for very
+        # wide inputs, where the tables would be large, block completions
+        # are rare and encode_int's row-selecting pass is faster.
         w = self.input_bits
         if w > 1024:
             return ()
+        rows = [self._spread(r) for r in self.generator_rows]
         tables = []
         for k in range((w + 7) // 8):
             byte_rows = [rows[w - 1 - (8 * k + j)] if 8 * k + j < w else 0

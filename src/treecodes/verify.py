@@ -163,15 +163,16 @@ def lagged_distance(
 def _min_weight_ratio(
     encode: Callable, entries: Sequence, n_max: int, width: int, space: str, budget: int,
     stop: Optional[Fraction] = None,
-) -> Optional[DistanceReport]:
+) -> DistanceReport:
     """The first minimum, in enumeration order, of wt(enc(x)) /
     (width * (k - split(x, 0))) over k <= n_max and non-zero x in entries^k
     (itertools.product order), as witness (x, split, weight).
 
     encode returns x's encoding as flat coordinates, width of them per
     position, and wt counts the non-zero ones.  Raises BudgetExceededError
-    when the vectors, sum |entries|^k, exceed budget.  With stop given the
-    scan ends at the first minimum <= stop.
+    when the vectors, sum |entries|^k, exceed budget, and ValueError when
+    there is no non-zero vector (n_max < 1, or no non-zero entry).  With
+    stop given the scan ends at the first minimum <= stop.
     """
     total = sum(len(entries) ** k for k in range(1, n_max + 1))
     if total > budget:
@@ -189,6 +190,8 @@ def _min_weight_ratio(
                 best = DistanceReport(val, (x, ell, wt), space)
                 if stop is not None and val <= stop:
                     return best
+    if best is None:
+        raise ValueError("no non-zero vector (%s)" % space)
     return best
 
 
@@ -196,7 +199,8 @@ def weight_distance_linear(
     A: LowerTriangularMatrix, entries: Sequence[int], n_max: int, budget: int = 2_000_000
 ) -> DistanceReport:
     """Exact min over non-zero x of the coordinate-level weight of the
-    (I, A) encoding divided by 2*(k - split(x, 0))."""
+    (I, A) encoding divided by 2*(k - split(x, 0)); ValueError when there
+    is none (n_max < 1 or no non-zero entry)."""
     entries = tuple(entries)
     return _min_weight_ratio(
         lambda x: [c for p in encode_tc_a(A, x) for c in (p.a, p.b)],
@@ -247,7 +251,10 @@ def toeplitz_condition(q: int, r: int, delta: float) -> bool:
 
 
 def largest_feasible_delta(q: int, r: int) -> Fraction:
-    """Largest delta = i/1000 passing toeplitz_condition; error if none."""
+    """Largest delta = i/1000 passing toeplitz_condition; ValueError if
+    none, or if r < 2, where H_r is undefined."""
+    if r < 2:
+        raise ValueError("r must be at least 2")
     for i in range(999, 0, -1):
         d = Fraction(i, 1000)
         if d <= Fraction(r - 1, r) and toeplitz_condition(q, r, float(d)):
@@ -372,7 +379,7 @@ def toeplitz_weight_distance(
     code: ToeplitzCode, budget: int = 2_000_000, stop_at=None
 ) -> DistanceReport:
     """Exact field-level weight distance of the code over all non-zero
-    inputs of length <= code.n.
+    inputs of length <= code.n; ValueError when there is none (n = 0).
 
     stop_at, when given, aborts the scan as soon as the running minimum is
     <= stop_at (fail-fast for the sampling experiment); the report is then

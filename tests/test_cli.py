@@ -181,6 +181,15 @@ def test_verify_nmax_zero_is_one_error_line(capsys, mode):
     assert captured.err == "error: --nmax must be at least 1, got 0\n"
 
 
+def test_verify_toeplitz_length_zero_is_one_error_line(capsys):
+    # The scan finds no non-zero vector; this used to end in an
+    # AttributeError traceback from the report writer.
+    code = main(["verify", "--mode", "toeplitz", "--q", "4", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: no non-zero vector (k<=0 over F_4)\n"
+
+
 def test_verify_lagged_runs_with_its_defaults(capsys):
     # --nmax defaults to the mode's smallest lag a*s = 8.
     code, out = run_cli(capsys, "verify", "--mode", "lagged")

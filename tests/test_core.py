@@ -23,6 +23,7 @@ from treecodes.core import (
     serialize_symbol,
     split,
 )
+from treecodes.core import _HEX_FORMATS
 from treecodes.pipeline import PipelineConfig, PipelineEncoder, alphabet_at
 
 
@@ -115,6 +116,25 @@ def test_serialize_symbol_matches_reference_on_random_trees():
     assert serialize_symbol(True) == "True"
     assert serialize_symbol(_TaggedBits(12, 0xABC)) == "abc"
     assert serialize_symbol(IntPair(1, -2)) == "(1,-2)"
+
+
+def test_serialize_symbol_narrow_widths_match_the_format():
+    # Widths below 11 are read from a table built at import; every value
+    # of each must give the text the width's format gives, through a
+    # FixedBits subclass (the MRO fallback) too.
+    for w in range(11):
+        for v in range(1 << w):
+            want = _HEX_FORMATS[w] % v
+            assert serialize_symbol(FixedBits(w, v)) == want, (w, v)
+            assert serialize_symbol(_TaggedBits(w, v)) == want, (w, v)
+    rng = random.Random(31)
+    for w in (11, 97, 255, 256, 300):
+        for v in (0, 1, (1 << w) - 1, rng.getrandbits(w)):
+            want = format(v, "0%dx" % ((w + 3) // 4))
+            assert serialize_symbol(FixedBits(w, v)) == want, (w, v)
+            assert serialize_symbol(_TaggedBits(w, v)) == want, (w, v)
+            if w < len(_HEX_FORMATS):
+                assert _HEX_FORMATS[w] % v == want
 
 
 def test_serialize_symbol_rejects_unknown_types():

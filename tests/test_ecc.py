@@ -341,6 +341,11 @@ def test_symbols_for_memoizes_only_small_input_spaces():
     assert toy.input_bits <= MEMO_MAX_INPUT_BITS
     first = toy.symbols_for(5)
     assert toy.symbols_for(5) is first and toy._memo == {5: first}
+    # A miss walks the byte tables; a hit returns the same tuple.
+    got = [toy.symbols_for(x) for x in range(1 << toy.input_bits)]
+    for x, sym in enumerate(got):
+        assert sym == toy.split_codeword(toy.encode_int(x)), x
+        assert toy.symbols_for(x) is sym
     wide = build_code_c(16, Fraction(1, 4), "rs")
     assert wide.input_bits > MEMO_MAX_INPUT_BITS
     assert wide.symbols_for(5) == wide.symbols_for(5)
@@ -348,9 +353,9 @@ def test_symbols_for_memoizes_only_small_input_spaces():
 
 
 def test_encode_int_is_the_xor_of_the_selected_rows():
-    # Row i is selected by input bit input_bits-1-i.  The s=588 codes are
-    # wider than the byte tables go (1024 bits), so they take the
-    # row-selecting pass; s=84 takes the byte tables.
+    # Row i is selected by input bit input_bits-1-i.  encode_int is one
+    # row-selecting pass at every width; only the s=84 code, at most 1024
+    # input bits wide, also has byte tables (for symbols_for).
     from treecodes.pipeline import level_code
 
     rng = random.Random(21)
@@ -368,23 +373,53 @@ def test_encode_int_is_the_xor_of_the_selected_rows():
 
 
 def test_block_code_refuses_inputs_out_of_range():
-    # s = 4 memoizes its codewords, s = 16 encodes through the byte tables
-    # and s = 588 (1,764 input bits) through the wide row pass.  Unchecked,
-    # a trailing 2 at s = 16 gave the codeword of [0]*46 + [1, 0], a
-    # leading 2 or -1 an IndexError from the byte tables, and at s = 588
-    # encode_int(1 << 1764) the codeword of 1 << 1763.
-    for s in (4, 16, 588):
+    # s = 4 memoizes its codewords, s = 16 and s = 20 encode through the
+    # byte tables and s = 588 (1,764 input bits) through the wide row pass.
+    # Unchecked, a trailing 2 at s = 16 gave the codeword of [0]*46 +
+    # [1, 0], a leading 2 or -1 an IndexError from the byte tables, and at
+    # s = 588 encode_int(1 << 1764) the codeword of 1 << 1763.  Where
+    # input_bits is not a multiple of 8 (s = 4, 20), 2^(8*nb) - 1 fills
+    # every byte the table walk reads, so to_bytes alone would accept it.
+    # A refused input never reaches the memo.
+    for s in (4, 16, 20, 588):
         spec = build_code_c(s, Fraction(1, 4), "rs")
         w = spec.input_bits
         spec.symbols_for(1)
+        memo = None if spec._memo is None else dict(spec._memo)
         for bad in ([0] * (w - 1) + [2], [2] + [0] * (w - 1), [-1] + [0] * (w - 1)):
             with pytest.raises(ValueError, match="0 or 1"):
                 spec.encode(bad)
-        for bad in (-1, 1 << w, (1 << w) | 1):
+        bytes_full = (1 << (8 * -(-w // 8))) - 1
+        for bad in (-1, 1 << w, (1 << w) | 1) + ((bytes_full,) if w % 8 else ()):
             for encode in (spec.encode_int, spec.symbols_for):
                 with pytest.raises(ValueError, match=r"input must be in \[0, 2\^%d\)" % w):
                     encode(bad)
+        assert spec._memo == memo
         assert (spec._byte_tables == ()) == (s == 588)
+
+
+def _table_path_codes():
+    # Every code here has at most 1,024 input bits, so symbols_for walks
+    # its lane-laid byte tables: rs over the level widths up to s = 340
+    # (1,020 input bits), two concat codes and a boosted rs code of 12*s
+    # input bits.
+    for s in (2, 4, 16, 20, 32, 84, 340):
+        yield build_code_c(s, Fraction(1, 4), "rs")
+    for s in (16, 84):
+        yield build_code_c(s, Fraction(1, 4), "concat")
+    yield build_code_c(84, Fraction(1, 4), "rs", input_bits=12 * 84)
+
+
+def test_symbols_for_table_walk_is_the_split_codeword():
+    rng = random.Random(30)
+    for spec in _table_path_codes():
+        w = spec.input_bits
+        assert 0 < len(spec._byte_tables) == (w + 7) // 8, (spec.recipe, spec.s, w)
+        xs = [0, (1 << w) - 1] + [1 << i for i in range(w)]
+        xs += [rng.getrandbits(w) for _ in range(20)]
+        for x in xs:
+            want = spec.split_codeword(spec.encode_int(x))
+            assert spec.symbols_for(x) == want, (spec.recipe, spec.s, w, x)
 
 
 def _split_reference(s, c, out):

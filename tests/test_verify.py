@@ -177,6 +177,25 @@ def test_toeplitz_weight_distance_stop_at():
     assert full.value <= early.value
 
 
+def test_weight_scans_without_a_nonzero_vector_raise():
+    # No non-zero vector: a lone zero entry, no positions, a code of length
+    # 0.  These used to return None in place of a DistanceReport.
+    P = pascal_matrix(3)
+    with pytest.raises(ValueError, match="no non-zero vector"):
+        weight_distance_linear(P, [0], 3)
+    with pytest.raises(ValueError, match="no non-zero vector"):
+        weight_distance_linear(P, range(3), 0)
+    with pytest.raises(ValueError, match="no non-zero vector"):
+        toeplitz_weight_distance(sample_toeplitz_code(4, 2, 0, 0))
+
+
+def test_largest_feasible_delta_needs_r_at_least_2():
+    # r = 0 used to end in ZeroDivisionError; the rule is entropy_hr's.
+    for r in (-1, 0, 1):
+        with pytest.raises(ValueError, match="r must be at least 2"):
+            largest_feasible_delta(4, r)
+
+
 def _split0_min(params, n):
     # The pairs of length n at lag n are exactly those that split at 0.
     return lagged_distance(lambda b: encode_truncated_lagged(params, b), n, n, (0, 1), n).value
