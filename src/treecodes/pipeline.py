@@ -10,8 +10,10 @@ delta*(1/2 - 3/(2a)) overall (1/16 for the default delta=1/4, a=6).
 The schedule rule used here keeps every lag a multiple of a times an even
 block width: ell_1 = a*s_min and ell_{g+1} = 2a*floor(s_g^2/(4a)), so
 ell_g = a*s_g exactly and consecutive coverage intervals overlap.  A level
-enters the emitted symbol only from position s_g onward, which keeps every
-symbol independent of the target length n.
+enters the emitted symbol only from position s_g onward, and its lagged
+code is made there, on first use; so every symbol is independent of the
+target length n, n only caps the input, and a level whose code cannot be
+made raises at the first position that needs it.
 
 Per-position alphabet accounting is exact: window bits plus, per active
 level, the two component widths with structurally-blank components (left
@@ -35,7 +37,7 @@ from itertools import repeat
 from typing import List, Optional, Tuple
 
 from .core import AlphabetDescriptor, FinalSymbol, FixedBits
-from .ecc import CodeSpecC, InfeasibleCodeError, build_code_c
+from .ecc import CodeSpecC, build_code_c
 from .lagged import LaggedParams, UntruncatedCore, lagged_symbol
 from .linearcode import BoostParams
 from .packing import packing_for
@@ -73,18 +75,17 @@ class Schedule:
 
 def build_schedule(n: int, s_min: int = 16, a: int = 6) -> Schedule:
     """Lag levels ell_1 = a*s_min, ell_{g+1} = 2a*floor(s_g^2/(4a)), kept
-    while the level's block width s_g = ell_g/a is at most n.
+    while the level's block width s_g = ell_g/a is at most n (none below
+    s_min).
 
-    Raises ScheduleError when the recurrence stalls before the coverage
-    intervals reach n (small s_min cannot grow: the first level needs
-    s_min^2/2 > ell_1).
+    Raises ScheduleError when the recurrence stalls before the window, which
+    covers lags up to a*s_min, and the coverage intervals reach n (small
+    s_min cannot grow: the first level needs s_min^2/2 > ell_1).
     """
     if s_min < 2 or s_min % 2:
         raise ValueError("s_min must be even and at least 2")
     if a < 2:
         raise ValueError("a must be at least 2")
-    if n < a * s_min:
-        raise ScheduleError("n=%d below the first lag %d" % (n, a * s_min))
     levels: List[ScheduleLevel] = []
     ell, s = a * s_min, s_min
     g = 1
@@ -92,7 +93,7 @@ def build_schedule(n: int, s_min: int = 16, a: int = 6) -> Schedule:
         levels.append(ScheduleLevel(g, ell, s))
         nxt = 2 * a * (s * s // (4 * a))
         if nxt <= ell:
-            if levels[-1].cover_hi >= n:
+            if max(levels[-1].cover_hi, a * s_min) >= n:
                 break
             raise ScheduleError(
                 "schedule stalls at level %d (ell=%d, next=%d) before covering n=%d"
@@ -122,8 +123,8 @@ class PipelineConfig:
             raise ValueError("s_min must be even and at least 2")
         if self.a < 2:
             raise ValueError("a must be at least 2")
-        if self.n < self.a * self.s_min:
-            raise ValueError("n must be at least a*s_min")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         if self.recipe not in ("rs", "concat"):
             raise ValueError("recipe must be 'rs' or 'concat'")
         packing_for(self.s_min, self.boost)  # refuses a boost the packing cannot take
@@ -144,41 +145,19 @@ class PipelineConfig:
     def _schedule(self) -> Schedule:
         return build_schedule(self.n, self.s_min, self.a)
 
-    @cached_property
-    def _levels(self) -> Tuple[LaggedParams, ...]:
-        """The lagged code of each schedule level, in order of increasing s:
-        block width s_g, lag ell_g = a*s_g and the level's block code (its
-        rows not yet built).  Raises InfeasibleCodeError when a level's
-        block code is infeasible."""
-        levels = []
-        for lv in self._schedule.levels:
+    def _level(self, k: int) -> LaggedParams:
+        """The lagged code of schedule level k (counted from 0): block width
+        s, lag ell = a*s and the level's block code (its rows not yet
+        built).  The levels are made in order on first use and kept in the
+        instance __dict__, as alphabet_at keeps its regime; an infeasible
+        level's InfeasibleCodeError is raised again on every call."""
+        made = self.__dict__.setdefault("_made_levels", [])
+        while len(made) <= k:
+            lv = self._schedule.levels[len(made)]
             code = level_code(lv.s, self.delta, self.recipe,
                               packing_for(lv.s, self.boost).symbol_bits)
-            levels.append(LaggedParams(lv.s, lv.ell, code, self.boost))
-        return tuple(levels)
-
-    @cached_property
-    def _layout(self) -> tuple:
-        """(window bits, levels) for alphabet_at: per schedule level, in
-        order of increasing s, the tuple (s, h, c_delta, "Lg.left",
-        "Lg.right").
-
-        A level whose block code is infeasible ends the tuple with
-        (s, None, message), so that alphabet_at raises only from that
-        level's first position on.  PipelineEncoder raises earlier, at
-        construction, since it sets up every level (for example at
-        n = 10^8, whose s = 69,177,612 level needs a field degree above
-        ecc.MAX_FIELD_DEGREE; ROADMAP item 4).
-        """
-        levels = []
-        for lv in self._schedule.levels:
-            try:
-                c = level_c_delta(self, lv.s)
-            except InfeasibleCodeError as exc:
-                levels.append((lv.s, None, str(exc), None, None))
-                break
-            levels.append((lv.s, lv.cover_hi, c, "L%d.left" % lv.g, "L%d.right" % lv.g))
-        return self.window_bits, tuple(levels)
+            made.append(LaggedParams(lv.s, lv.ell, code, self.boost))
+        return made[k]
 
 
 def level_c_delta(config: PipelineConfig, s: int) -> int:
@@ -199,7 +178,7 @@ class PipelineEncoder:
     """Online encoder for the full code; one FinalSymbol per pushed bit.
 
     push_raw returns the symbol as a plain nested tuple (window length,
-    window value, per-active-level (left, right) ints-or-None), which is
+    window value, per-joined-level (left, right) ints-or-None), which is
     the representation used by the large-scale distance experiments;
     push wraps it into a FinalSymbol.
 
@@ -211,27 +190,37 @@ class PipelineEncoder:
     the level tuples of positions span_start .. next_event - 1.  A push in
     between updates the window and pos and indexes the span.
 
+    A level joins at its first block end, pos = s, which is an event: its
+    core is made there from config._level, rolled once for its first
+    instance (which started at position 1, and saw no block end before s)
+    and completed with the block.  So the event loop walks only the joined
+    levels, and a level's code is sized, or raises, at that position.
+
     Level 1's block ends are events, so a span is at most s_min positions,
     fewer than the window holds: the bits since the last event are the
     window's low bits.  `hist` holds the input up to span_start, masked to
-    the top level's s, and takes those bits in at the next event.  Clones
-    share span and hist, which are replaced at events, never mutated.
+    the widest schedule level's s, and takes those bits in at the next
+    event.  Clones share span, hist, params and steps, which are replaced,
+    never mutated.
     """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.params = levels = config._levels
-        self.levels = [UntruncatedCore(params) for params in levels]
+        schedule = config._schedule.levels
         self.n = config.n
         self.wbits = config.window_bits
         self.wmask = (1 << self.wbits) - 1
-        self.hist_mask = (1 << levels[-1].s) - 1
-        # (s, h) per level, in order of increasing s.
-        self.steps = tuple([(params.s, params.h) for params in levels])
+        self.hist_mask = (1 << schedule[-1].s) - 1 if schedule else 0
+        # The joined levels in order of increasing s: their LaggedParams,
+        # (s, h) and cores.  Level k joins at joins[k]; n + 1 ends the list.
+        self.params: Tuple[LaggedParams, ...] = ()
+        self.steps: Tuple[Tuple[int, int], ...] = ()
+        self.levels: List[UntruncatedCore] = []
+        self.joins = tuple([lv.s for lv in schedule]) + (self.n + 1,)
         self.pos = 0
         self.window = 0
         self.hist = 0
-        # Position 1 is an event: every level starts its first instance.
+        # Position 1 is an event: the first span starts there.
         self.span: List[tuple] = []
         self.span_start = 0
         self.next_event = 1
@@ -253,31 +242,36 @@ class PipelineEncoder:
         return (pos if pos < wbits else wbits, window, self.span[pos - self.span_start])
 
     def _event(self, pos: int, window: int) -> None:
-        """Advance the levels whose block ends or instance starts at pos and
-        build the span from pos to the next event."""
+        """Let in the level whose first block ends at pos, advance the levels
+        whose block ends or instance starts at pos and build the span from
+        pos to the next event."""
         k = pos - self.span_start
         hist = ((self.hist << k) | (window & ((1 << k) - 1))) & self.hist_mask
         self.hist = hist
-        steps = self.steps
-        cap = steps[0][0]
-        limit = self.n + 1 - pos
+        join_at = self.joins[len(self.levels)]
+        if pos == join_at:
+            params = self.config._level(len(self.levels))  # or raises here
+            core = UntruncatedCore(params)
+            core.roll()
+            self.levels.append(core)
+            self.params += (params,)
+            self.steps += ((params.s, params.h),)
+            join_at = self.joins[len(self.levels)]
+        cap = self.config.s_min
         cols = []
-        for core, (s, h) in zip(self.levels, steps):
+        for core, (s, h) in zip(self.levels, self.steps):
             r = pos % s
             if r == 0:
                 core.complete(hist & ((1 << s) - 1))
             elif r == 1 and pos % h == 1:
                 core.roll()
-            if s > pos:
-                # Inactive (left out of the symbol) until its first block ends.
-                limit = min(limit, s - pos)
-                continue
             # A column runs to the level's block end, or to pos alone when
             # an instance starts at pos + 1; zip stops at the shortest.
             end = r + 1 if r == 0 and pos % h == 0 else r + cap
             old, new = core.old_word, core.new_word
             cols.append(zip(repeat(None) if old is None else old[r:end],
                             repeat(None) if new is None else new[r:end]))
+        limit = join_at - pos
         span = list(zip(*cols)) if cols else [()] * limit
         del span[limit:]
         self.span = span
@@ -286,7 +280,6 @@ class PipelineEncoder:
 
     def push(self, bit: int) -> FinalSymbol:
         wlen, wval, raw = self.push_raw(bit)
-        # zip stops after the active levels, which come first (s increases).
         levels = tuple([
             lagged_symbol(params, left, right)
             for params, (left, right) in zip(self.params, raw)
@@ -310,11 +303,13 @@ _set_levels = FinalSymbol.levels.__set__
 
 
 def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
-    """Exact bit accounting of the symbol at position i; independent of n
-    for all n that include the position's active levels.
+    """Exact bit accounting of the symbol at position i; independent of n.
+    It reads the levels with s <= i through config._level, so a level whose
+    code is infeasible raises from its first position on, as the encoder
+    does.
 
     The structure is constant over a regime of positions: it changes only
-    where the window grows, where a level enters (i = s), where its older
+    where the window grows, where a level joins (i = s), where its older
     instance appears (i = h + 1) and where its newer one starts or
     completes its first block (i = 1 or s mod h).  The config keeps the last
     regime (lo, hi, total, structure) in its instance __dict__, as
@@ -334,18 +329,20 @@ def alphabet_at(config: PipelineConfig, i: int) -> AlphabetDescriptor:
         _set_total_bits(desc, memo[2])
         _set_structure(desc, memo[3])
         return desc
-    window_bits, levels = config._layout
+    window_bits = config.window_bits
     if i < window_bits:
         total, hi = i, i + 1
     else:
         total, hi = window_bits, config.n + 1
     structure = [("window", total)]
-    for s, h, c, left_name, right_name in levels:
+    for k, lv in enumerate(config._schedule.levels):
+        s = lv.s
         if s > i:
-            hi = min(hi, s)  # the level enters, or raises if infeasible
+            hi = min(hi, s)  # the level joins
             break
-        if h is None:
-            raise InfeasibleCodeError(c)
+        params = config._level(k)
+        h, c = params.h, params.c_delta
+        left_name, right_name = "L%d.left" % lv.g, "L%d.right" % lv.g
         # Left slot: the older instance exists from position h+1 on.
         if i > h:
             structure.append((left_name, c))
@@ -382,15 +379,15 @@ def boosted_config(eta, n: int = 1 << 14) -> PipelineConfig:
     returned; beyond it the boost r, the block-code distance and the lag
     ratio a are raised so that delta*(r/(r+1) - 3/(2a)) >= eta.
 
-    No configuration returned for eta > 1/16 can be encoded yet, and
-    PipelineEncoder refuses each at construction.  Up to eta < 11/20
-    (checked at eta = k/100) it has delta > 2/3 and r >= 3, so the RS level
-    code needs field degree m >= (r+1)(r+2)/(1-delta) >= 60 (the cap is
-    24): InfeasibleCodeError.  From eta = 11/20 on it has a >= 8, so
-    ell_1 = a*s_min >= s_min^2/2 and the schedule stalls at level 1
-    (ScheduleError) before any level code is sized.  A hand-built
-    PipelineConfig(n, delta=1/4, boost=BoostParams(1, 2)) encodes, with
-    declared distance 5/48.
+    No configuration returned for eta > 1/16 can be encoded yet (checked
+    at eta = k/100).  Below eta = 11/20 it has delta > 2/3 and r >= 3, so
+    the RS level code needs field degree m >= (r+1)(r+2)/(1-delta) >= 60
+    (the cap is 24): the encoder and alphabet_at raise InfeasibleCodeError
+    at position s_min = 16, where level 1 joins.  From eta = 11/20 on it
+    has a >= 8, so ell_1 = a*s_min >= s_min^2/2 and the schedule stalls at
+    level 1: PipelineEncoder raises ScheduleError at construction.  A
+    hand-built PipelineConfig(n, delta=1/4, boost=BoostParams(1, 2))
+    encodes, with declared distance 5/48.
     """
     eta = Fraction(eta)
     if not 0 <= eta < 1:
@@ -402,10 +399,8 @@ def boosted_config(eta, n: int = 1 << 14) -> PipelineConfig:
     r = math.ceil(target / (1 - target))
     delta = target
     base = Fraction(r, r + 1)
-    slack = base - eta / delta
-    if slack <= 0:
-        raise ValueError("no lag ratio can reach eta=%s" % eta)
-    a = max(2, math.ceil(Fraction(3, 2) / slack))
+    # base >= target, so the slack is at least (1-eta)(4-eta)/(3(2+eta)) > 0.
+    a = max(2, math.ceil(Fraction(3, 2) / (base - eta / delta)))
     config = PipelineConfig(n=n, delta=delta, a=a, boost=BoostParams(1, r))
     assert config.declared_distance() >= eta
     return config

@@ -76,6 +76,30 @@ def test_encode_chs_bits_and_hex_agree(tmp_path, capsys):
     assert first["i"] == 1 and first["gamma_bits"] == 1
 
 
+def test_encode_chs_below_the_first_lag(tmp_path, capsys):
+    # n = 50 < a*s_min = 96: 50 records, the first 50 of the n = 96 run's.
+    path = tmp_path / "bits.txt"
+    path.write_text("0110" * 30 + "\n")
+    code, out = run_cli(capsys, "encode-chs", "--n", "50", "--input", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert [json.loads(line)["i"] for line in lines] == list(range(1, 51))
+    code, out96 = run_cli(capsys, "encode-chs", "--n", "96", "--input", str(path))
+    assert code == 0 and out96.splitlines()[:50] == lines
+
+
+def test_encode_chs_eta_raises_where_level_1_joins(tmp_path, capsys):
+    # boosted_config(1/8) has no feasible level code at s = 16: the 15
+    # window-only records are written, then one error line.
+    path = tmp_path / "bits.txt"
+    path.write_text("01" * 50 + "\n")
+    code = main(["encode-chs", "--n", "100", "--eta", "1/8", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [json.loads(line)["i"] for line in captured.out.splitlines()] == list(range(1, 16))
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", ["-1", "0x1f", "1_0", "+f", "10 01", "a5g"])
 def test_encode_chs_refuses_lines_neither_bits_nor_hex(tmp_path, capsys, line):
     # int(line, 16) accepts the first four; each must end in one error line.

@@ -297,7 +297,9 @@ def random_bits(rng, n):
 
 def pipeline_level(s):
     """The level of block width s of the default n = 2^14 pipeline."""
-    return next(params for params in PipelineConfig(n=2**14)._levels if params.s == s)
+    config = PipelineConfig(n=2**14)
+    k = next(k for k, lv in enumerate(config._schedule.levels) if lv.s == s)
+    return config._level(k)
 
 
 @pytest.mark.parametrize("s", [4, 6])

@@ -56,8 +56,14 @@ def test_schedule_lag_divisibility_and_coverage():
 
 
 def test_schedule_errors():
-    with pytest.raises(ScheduleError):
-        build_schedule(50)  # below the first lag
+    # Below the first lag the schedule holds the levels with s <= n; the
+    # window covers every lag up to a*s_min, so a stall only raises past it.
+    assert [(lv.g, lv.ell, lv.s) for lv in build_schedule(50).levels] == [
+        (1, 96, 16), (2, 120, 20), (3, 192, 32)]
+    assert build_schedule(15).levels == ()
+    assert [lv.s for lv in build_schedule(12, s_min=2, a=6).levels] == [2]
+    with pytest.raises(ScheduleError, match="stalls at level 1"):
+        build_schedule(13, s_min=2, a=6)
     with pytest.raises(ScheduleError):
         build_schedule(10**6, s_min=2, a=6)  # recurrence stalls
     with pytest.raises(ValueError):
@@ -156,12 +162,17 @@ def test_push_rejects_non_bits_before_changing_state():
         assert _encoder_state(enc) == before
 
 
+def _all_levels(config):
+    """The LaggedParams of every schedule level, as the encoder makes them."""
+    return [config._level(k) for k in range(len(config._schedule.levels))]
+
+
 def _constructor_built(config, raw):
     """push_raw's tuple wrapped through the public constructors alone."""
     wlen, wval, pairs = raw
     return FinalSymbol(FixedBits(wlen, wval), tuple([
         LaggedSymbol(*[BLANK if v is None else FixedBits(params.c_delta, v) for v in pair])
-        for params, pair in zip(config._levels, pairs)
+        for params, pair in zip(_all_levels(config), pairs)
     ]))
 
 
@@ -173,7 +184,7 @@ def _assert_push_is_constructor_built(config, enc, twin, bits):
         ref = _constructor_built(config, raw)
         assert sym == ref and hash(sym) == hash(ref) and repr(sym) == repr(ref), twin.pos
         assert sym.to_symbol() is sym, twin.pos
-        for params, lv, pair in zip(config._levels, sym.levels, raw[2]):
+        for params, lv, pair in zip(_all_levels(config), sym.levels, raw[2]):
             for component, v in zip((lv.left, lv.right), pair):
                 assert component is (BLANK if v is None else params.symbol(v))
     return sym
@@ -268,9 +279,10 @@ def test_delta_with_a_large_denominator_encodes():
 
 
 def test_level_code_built_on_first_completed_block(monkeypatch):
+    # A level's code is made where the stream reaches its first block end.
     # At n = 10^6 the top level (s = 28,812) has no buildable rows yet (about
-    # 4.7 GB); the encoder must run up to the position before its first
-    # block completes, with that level's rows never built.
+    # 4.7 GB): up to the position before it the encoder makes the five lower
+    # levels' codes, one at each s, with their rows built, and never its own.
     calls = []
     real = pipeline.build_code_c
 
@@ -280,13 +292,76 @@ def test_level_code_built_on_first_completed_block(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_code_c", counting)
     pipeline.level_code.cache_clear()
+    widths = [16, 20, 32, 84, 588]
+    marks = {s + d for s in widths for d in (-1, 0)} | {28811}
     enc = PipelineEncoder(PipelineConfig(n=10**6))
     rng = random.Random(9)
-    for _ in range(28811):
+    for pos in range(1, 28812):
         enc.push_raw(rng.randrange(2))
-    assert sorted(calls) == [16, 20, 32, 84, 588, 28812]
-    built = ["generator_rows" in vars(core.level.spec) for core in enc.levels]
-    assert built == [True] * 5 + [False]
+        if pos in marks:
+            assert calls == [s for s in widths if s <= pos], pos
+            assert [core.level.s for core in enc.levels] == calls, pos
+    assert all("generator_rows" in vars(core.level.spec) for core in enc.levels)
+    assert enc.joins[len(enc.levels)] == 28812
+
+
+def _outputs(config, bits):
+    """push_raw's tuple, the pushed symbol's text and alphabet_at, per bit,
+    and the two encoders after the last bit."""
+    raw, wrapped = PipelineEncoder(config), PipelineEncoder(config)
+    out = [(raw.push_raw(b), serialize_symbol(wrapped.push(b)), alphabet_at(config, i))
+           for i, b in enumerate(bits, 1)]
+    return out, raw, wrapped
+
+
+@pytest.mark.parametrize("n", [1, 50, 95])
+def test_lengths_below_the_first_lag_are_prefixes_of_n96(n):
+    # The symbols 1..n do not depend on n: they are the first n of the
+    # n = 96 encoder's.  n only caps the input and the positions.
+    rng = random.Random(n)
+    bits = [rng.randrange(2) for _ in range(96)]
+    config = PipelineConfig(n=n)
+    out, raw, wrapped = _outputs(config, bits[:n])
+    assert out == _outputs(PipelineConfig(n=96), bits)[0][:n]
+    for push in (raw.push_raw, wrapped.push):
+        with pytest.raises(ValueError, match="input longer than n=%d" % n):
+            push(bits[n])
+    with pytest.raises(ValueError, match="outside"):
+        alphabet_at(config, n + 1)
+
+
+def test_a_length_past_the_field_cap_encodes_up_to_its_unbuilt_level():
+    # At n = 10^8 the schedule's s = 69,177,612 level needs a field degree
+    # above ecc.MAX_FIELD_DEGREE, but the stream never reaches it here: the
+    # first 28,811 bits encode as at n = 28,811.  Bit 28,812 is not pushed,
+    # since the s = 28,812 level's rows take about 4.7 GB.
+    rng = random.Random(10)
+    bits = [rng.randrange(2) for _ in range(28811)]
+    huge, exact = PipelineConfig(n=10**8), PipelineConfig(n=28811)
+    assert build_schedule(huge.n).levels[-1].s == 69177612
+    a, b = PipelineEncoder(huge), PipelineEncoder(exact)
+    assert [a.push_raw(x) for x in bits] == [b.push_raw(x) for x in bits]
+    assert all(alphabet_at(huge, i) == alphabet_at(exact, i) for i in range(1, 28812))
+    assert [core.level.s for core in a.levels] == [16, 20, 32, 84, 588]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delta": Fraction(1)}, "delta must be in [0, 1)"),
+    ({"delta": Fraction(-1, 4)}, "delta must be in [0, 1)"),
+    ({"s_min": 15}, "s_min must be even and at least 2"),
+    ({"s_min": 0}, "s_min must be even and at least 2"),
+    ({"a": 1}, "a must be at least 2"),
+    ({"n": 0}, "n must be at least 1"),
+    ({"n": -5}, "n must be at least 1"),
+    ({"recipe": "ldpc"}, "recipe must be 'rs' or 'concat'"),
+    ({"boost": BoostParams(2, 1)}, "packed boosting supports one integer per block"),
+], ids=["delta-1", "delta-negative", "s_min-odd", "s_min-0", "a-1", "n-0", "n-negative",
+        "recipe", "boost"])
+def test_config_refusals(kwargs, message):
+    with pytest.raises(ValueError) as refused:
+        PipelineConfig(**{"n": 1000, **kwargs})
+    assert type(refused.value) is ValueError
+    assert str(refused.value).startswith(message)
 
 
 def test_push_rejects_what_is_not_a_bit():
@@ -328,7 +403,7 @@ class _PerBitReference:
 
     def __init__(self, config):
         self.wbits = config.window_bits
-        self.levels = [UntruncatedCore(params) for params in config._levels]
+        self.levels = [UntruncatedCore(params) for params in _all_levels(config)]
         self.pos = 0
         self.window = 0
 
@@ -423,7 +498,7 @@ def _same_descriptor(config, i):
     PipelineConfig(n=1 << 14, recipe="concat"),
     PipelineConfig(n=1 << 14, boost=BoostParams(1, 2)),
     # With a=4 and s_min=8 the schedule stalls after its first level, so
-    # n=32 = a*s_min is the only length it admits.
+    # n=32 = a*s_min is the longest length it admits.
     PipelineConfig(n=32, a=4, s_min=8),
     PipelineConfig(n=1 << 14, a=4, s_min=16),
 ])
@@ -521,11 +596,16 @@ def test_level_c_delta_refuses_as_build_code_c():
 def test_alphabet_at_raises_from_an_infeasible_level_only():
     # boosted_config(1/8) has no feasible level code at s=16: its RS code
     # needs a field degree above MAX_FIELD_DEGREE (ROADMAP items 3 and 4).
-    # The window-only positions are still accounted, as by the walk.
+    # The window-only positions are still accounted, as by the walk, and
+    # encoded; the encoder raises where level 1 joins, as alphabet_at does.
     config = boosted_config(Fraction(1, 8))
     first = build_schedule(config.n, config.s_min, config.a).levels[0].s
+    enc = PipelineEncoder(config)
     for i in range(1, first):
         _same_descriptor(config, i)
+        assert enc.push(i % 2).levels == ()
+    with pytest.raises(InfeasibleCodeError):
+        enc.push(0)
     for i in (first, first + 1, config.n):
         with pytest.raises(InfeasibleCodeError):
             alphabet_at(config, i)

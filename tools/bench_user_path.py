@@ -12,22 +12,19 @@ imported into this one process under their own package names, so a pass
 of one tree and a pass of the other run back to back on the same warm
 interpreter, and the order of the trees alternates from pass to pass.
 
-One pass runs six loops over one seeded stream of n = 2^14 bits, each on
+One pass runs five loops over one seeded stream of n = 2^14 bits, each on
 a fresh `PipelineConfig` and `PipelineEncoder` (an untimed warm-up pass
-has built the level codes), keeping nothing between bits.  The six loops
+has built the level codes), keeping nothing between bits.  The five loops
 take turns over blocks of 256 bits, so a slow spell of the host is shared
 by all of them.  Every loop is `for i, b in enumerate(block, i0)`; the
 first calls `PipelineEncoder.push_raw` alone, and each of the others adds
 exactly one call per bit to the loop before it:
 
 1. `PipelineEncoder.push`, in place of `push_raw`;
-2. then `FinalSymbol.to_symbol` of the pushed symbol, which returns the
-   symbol itself in trees whose `serialize_symbol` writes a `FinalSymbol`
-   directly (older trees copy it into nested tuples);
-3. then `core.serialize_symbol` of what `to_symbol` returned;
-4. then `pipeline.alphabet_at(config, i).total_bits`: `path`, the four
+2. then `core.serialize_symbol` of the pushed symbol;
+3. then `pipeline.alphabet_at(config, i).total_bits`: `path`, the three
    library calls per bit as `encode-chs` makes them;
-5. then `cli._emit` of the record `{"i", "symbol", "gamma_bits"}` into a
+4. then `cli._emit` of the record `{"i", "symbol", "gamma_bits"}` into a
    StringIO, the record's dict included: `path_and_emit`.
 
 The `push` row is the whole `push` loop.  Each later call's cost per bit
@@ -69,11 +66,11 @@ RUNS = 6  # encode-chs processes per tree
 SEED = 0
 BLOCK = 256  # bits each loop runs before the next loop takes its turn
 # Each loop adds one call per bit to the loop before it: the path is the
-# four library calls per bit as encode-chs makes them, and the last loop
+# three library calls per bit as encode-chs makes them, and the last loop
 # adds encode-chs's record writer (JSON and flush, into a StringIO).
-CUMULATIVE = ("push", "+to_symbol", "+serialize_symbol", "+alphabet_at", "+_emit")
+CUMULATIVE = ("push", "+serialize_symbol", "+alphabet_at", "+_emit")
 # The cost of one call per bit: the difference of consecutive loops.
-CALLS = ("push", "to_symbol", "serialize_symbol", "alphabet_at", "_emit")
+CALLS = ("push", "serialize_symbol", "alphabet_at", "_emit")
 ROWS = ("push_raw",) + CALLS + ("path", "path_and_emit")
 
 
@@ -108,13 +105,13 @@ def path_digest(pipeline, core, bits):
     push = pipeline.PipelineEncoder(cfg).push
     h = hashlib.sha256()
     for i, b in enumerate(bits, 1):
-        text = core.serialize_symbol(push(b).to_symbol())
+        text = core.serialize_symbol(push(b))
         h.update(b"%s\t%d\n" % (text.encode(), pipeline.alphabet_at(cfg, i).total_bits))
     return h.hexdigest()
 
 
 def _loops(pipeline, core, cli, n):
-    """The six loops, one per row of ("push_raw",) + CUMULATIVE, each on
+    """The five loops, one per row of ("push_raw",) + CUMULATIVE, each on
     its own fresh config and encoder; each takes a block of bits and the
     position of its first bit."""
     serialize = core.serialize_symbol
@@ -135,23 +132,19 @@ def _loops(pipeline, core, cli, n):
             def loop(block, i0, push=push):
                 for i, b in enumerate(block, i0):
                     push(b)
-        elif row == "+to_symbol":
-            def loop(block, i0, push=push):
-                for i, b in enumerate(block, i0):
-                    push(b).to_symbol()
         elif row == "+serialize_symbol":
             def loop(block, i0, push=push):
                 for i, b in enumerate(block, i0):
-                    text = serialize(push(b).to_symbol())
+                    text = serialize(push(b))
         elif row == "+alphabet_at":
             def loop(block, i0, push=push, cfg=cfg):
                 for i, b in enumerate(block, i0):
-                    text = serialize(push(b).to_symbol())
+                    text = serialize(push(b))
                     gamma = alphabet_at(cfg, i).total_bits
         else:
             def loop(block, i0, push=push, cfg=cfg, sink=sink):
                 for i, b in enumerate(block, i0):
-                    text = serialize(push(b).to_symbol())
+                    text = serialize(push(b))
                     gamma = alphabet_at(cfg, i).total_bits
                     emit(sink, {"i": i, "symbol": text, "gamma_bits": gamma})
         loops.append((row, loop))
